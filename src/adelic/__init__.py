@@ -42,7 +42,6 @@ from .errors import (
     NonCoprimeModuli,
     NotIntegral,
     NotInvertible,
-    SearchBoundExceeded,
     ZeroComponent,
 )
 from .oracle import SearchBudget, window_closure, witness_by_search

@@ -21,7 +21,6 @@ from .adele import (
     FullAdele,
     absolute_value,
     factor_idele,
-    scale,
     zero_set,
 )
 from .errors import AdelicError
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adele", required=True)
     p.add_argument("--nbhd", required=True)
     p.add_argument("--division", action="store_true", help="report 1/r for the division action")
-    p.add_argument("--scan-cap", type=int, default=None)
 
     p = cmd("exact-witness", "exact scaling r with r*a == b, if any")
     p.add_argument("--a", required=True)
@@ -211,10 +209,8 @@ def _run(args) -> Dict:
     if args.command == "witness":
         a = jsonio.parse_adele(loads(args.adele))
         nbhd = jsonio.parse_neighbourhood(loads(args.nbhd))
-        kwargs = {} if args.scan_cap is None else {"scan_cap": args.scan_cap}
-        r = approx_witness(a, nbhd, **kwargs)
-        verified = nbhd.contains(scale(r, a))
-        return {"r": jsonio.dump_rational(_maybe_invert(r, args.division)), "verified": verified}
+        r = approx_witness(a, nbhd)  # raises unless r verifies
+        return {"r": jsonio.dump_rational(_maybe_invert(r, args.division)), "verified": True}
 
     if args.command == "exact-witness":
         a, b = jsonio.parse_adele(loads(args.a)), jsonio.parse_adele(loads(args.b))

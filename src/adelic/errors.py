@@ -61,12 +61,6 @@ class ClosedOrbitMiss(AdelicError):
     code = "closed_orbit_miss"
 
 
-class SearchBoundExceeded(AdelicError):
-    """The configurable progression-scan cap was hit."""
-
-    code = "search_bound_exceeded"
-
-
 class MalformedDescriptor(AdelicError):
     """A set descriptor contains atoms the target space does not admit."""
 

@@ -155,7 +155,7 @@ def _search_interval_clipped(a, nbhd, budget, denominators) -> Optional[Fraction
             first = max(1, floor(x) + 1)
             last = min(budget.height_bound, ceil(y) - 1)
             for n in range(first, last + 1):
-                if max(n, d) <= budget.height_bound and gcd(n, d) == 1:
+                if gcd(n, d) == 1:
                     candidates.append((max(n, d), n, d, 0 if sign > 0 else 1))
     for _, n, d, neg in sorted(candidates):
         r = Fraction(-n if neg else n, d)

@@ -30,12 +30,7 @@ from .adele import (
     scale,
     zero_set,
 )
-from .errors import (
-    ClosedOrbitMiss,
-    Infeasible,
-    NotIntegral,
-    SearchBoundExceeded,
-)
+from .errors import ClosedOrbitMiss, Infeasible, NotIntegral
 from .padic import (
     PadicBall,
     Prime,
@@ -52,8 +47,6 @@ FULL_GROUP = "full_group"
 # parameter point kinds
 PRIME_SET = "prime_set"
 UNIT_CLASS = "unit_class"
-
-DEFAULT_SCAN_CAP = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +211,7 @@ def _check_neighbourhood_kind(a: Adele, nbhd: Neighbourhood) -> bool:
     return full
 
 
-def approx_witness(a: Adele, nbhd: Neighbourhood, scan_cap: int = DEFAULT_SCAN_CAP) -> Fraction:
+def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     """Construct a rational r with scale(r, a) inside the neighbourhood.
 
     The algorithm mirrors the constructive orbit-closure proofs.  Each
@@ -228,22 +221,20 @@ def approx_witness(a: Adele, nbhd: Neighbourhood, scan_cap: int = DEFAULT_SCAN_C
     adeles with a nonzero real coordinate the denominator is enlarged,
     through powers of the smallest vanishing prime (Case I) or through the
     default primes dividing a TIMES_P adele (Case II), until the solution
-    progression is dense enough to hit the real interval; the progression
-    is then scanned in ascending order.
+    progression is dense enough to hit the real interval; the first
+    nonzero progression term inside the interval is taken.  Invertible
+    full adeles have closed orbits and go through the same progression
+    with a fixed denominator (see _closed_orbit_search).
 
     All free choices are pinned so the returned witness is canonical and
     reproducible.  The result is verified exactly before being returned.
 
-    Raises Infeasible on a zero-pattern conflict, ClosedOrbitMiss when an
-    invertible full adele's closed orbit misses the neighbourhood, and
-    SearchBoundExceeded if the configurable scan cap is hit.
+    Raises Infeasible on a zero-pattern conflict and ClosedOrbitMiss when
+    an invertible full adele's closed orbit misses the neighbourhood.
     """
     full = _check_neighbourhood_kind(a, nbhd)
-    if scan_cap < 1:
-        raise ValueError("scan cap must be positive")
-
     if full and is_invertible(a):
-        return _closed_orbit_search(a, nbhd, scan_cap)
+        return _closed_orbit_search(a, nbhd)
 
     # feasibility: a vanishing coordinate can only meet a ball through 0
     for p, ball in nbhd.balls.items():
@@ -283,9 +274,6 @@ def approx_witness(a: Adele, nbhd: Neighbourhood, scan_cap: int = DEFAULT_SCAN_C
         if alpha < 0:
             extra_congruences.append((0, int(p) ** -alpha))
 
-    modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
-    modulus *= math.prod(m for _, m in extra_congruences)
-
     # denominator growth for real-interval control (full case only)
     need_interval = full and a.real_part != 0
     tail_factor = 1
@@ -293,6 +281,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood, scan_cap: int = DEFAULT_SCAN_C
     case_two_primes: Iterator[Prime] = iter(())
     if need_interval:
         lo, hi = nbhd.real_interval
+        modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
+        modulus *= math.prod(m for _, m in extra_congruences)
         threshold = abs(a.real_part) * modulus / ((hi - lo) * denominator_core)
         case_one_prime = _smallest_vanishing_finite_prime(fin)
         if case_one_prime is not None:
@@ -305,83 +295,82 @@ def approx_witness(a: Adele, nbhd: Neighbourhood, scan_cap: int = DEFAULT_SCAN_C
         else:
             raise AssertionError("noninvertible full adele with no vanishing prime must be TIMES_P")
 
-    for _ in range(scan_cap):
+    # The tail growth made the open numerator range longer than the
+    # modulus, so it holds a progression term and only a lone 0 can be
+    # rejected.  A refinement multiplies the range by a prime >= 2, so it
+    # then holds two terms, at most one of them 0: this runs at most twice.
+    while True:
         denominator = denominator_core * tail_factor
         congruences = [
             (integer_in_ball(PadicBall(p, gamma * denominator, e)), int(p) ** e)
             for p, e, gamma in cong_data
         ] + extra_congruences
-        base = crt_solve(congruences)
-        numerator = _pick_numerator(a, nbhd, base, modulus, denominator, full)
+        bounds = None
+        if need_interval:
+            bounds = (lo * denominator / a.real_part, hi * denominator / a.real_part)
+        numerator = _pick_numerator(congruences, bounds)
         if numerator is not None:
-            r = Fraction(numerator, denominator)
-            break
-        # only a numerator of 0 can fall in range; refine the progression
+            return _verified(Fraction(numerator, denominator), a, nbhd)
         if case_one_prime is not None:
             tail_factor *= int(case_one_prime)
         else:
             tail_factor *= int(next(case_two_primes))
-    else:
-        raise SearchBoundExceeded(f"no witness after {scan_cap} progression refinements")
-
-    scaled = scale(r, a)
-    if not nbhd.contains(scaled):
-        raise AssertionError(f"constructed witness {r} failed verification")
-    return r
 
 
-def _pick_numerator(
-    a: Adele,
-    nbhd: Neighbourhood,
-    base: int,
-    modulus: int,
-    denominator: int,
-    full: bool,
-) -> Optional[int]:
-    """First admissible numerator in the CRT solution progression."""
-    if not full or a.real_part == 0:
-        # no interval constraint: smallest positive solution
+def _pick_numerator(congruences, bounds) -> Optional[int]:
+    """First admissible numerator in the CRT solution progression.
+
+    Without bounds this is the smallest positive solution; with bounds
+    (the ends of an open interval, in either order) it is the first
+    nonzero solution inside them, or None when there is none.
+    """
+    base = crt_solve(congruences)
+    modulus = math.prod(m for _, m in congruences)
+    if bounds is None:
         return base if base > 0 else base + modulus
-    lo, hi = nbhd.real_interval
-    bounds = sorted((lo * denominator / a.real_part, hi * denominator / a.real_part))
-    k = (bounds[0] - base) // modulus + 1  # Fraction floor division is exact
-    n = base + k * modulus
-    while n < bounds[1]:
+    first, last = sorted(bounds)
+    n = base + ((first - base) // modulus + 1) * modulus  # exact Fraction floor
+    while n < last:
         if n != 0:
             return int(n)
         n += modulus
     return None
 
 
-def _closed_orbit_search(a: FullAdele, nbhd: Neighbourhood, scan_cap: int) -> Fraction:
-    """Exhaustive exact search for invertible full adeles.
+def _closed_orbit_search(a: FullAdele, nbhd: Neighbourhood) -> Fraction:
+    """Exact decision for invertible full adeles.
 
     The orbit is closed, so either some exact r lands in the
-    neighbourhood or none does.  Factoring a = r0 * u reduces the search
-    to scalings t of the unit u; the ball and integrality constraints
-    force the denominator of t to divide a fixed integer, and the real
-    interval bounds the numerator, so the candidate set is finite.
+    neighbourhood or none does.  Factoring a = r0 * u reduces the question
+    to scalings t of the unit u.  As u_p is a p-adic unit, t * u_p lies in
+    the ball B(c_p, e_p) exactly when t lies in B(c_p / u_p, e_p), which
+    forces v_p(t) >= min(e_p, v_p(c_p)); off the balls t must be
+    integral.  So t = n / D with D = prod p^-min(e_p, v_p(c_p)) over the
+    balls where that exponent is negative, and each ball becomes the
+    congruence n in B(D * c_p / u_p, e_p + v_p(D)).  The first nonzero
+    progression term in the real interval is the smallest such n, or
+    there is none and the orbit misses the neighbourhood.
     """
     r0, u = factor_idele(a)
-    lo, hi = nbhd.real_interval
-    lo, hi = lo / u.real_part, hi / u.real_part
-    denominator = 1
+    shifts = {
+        p: max(0, -min(ball.radius_exponent, valuation(ball.center, p)))
+        for p, ball in nbhd.balls.items()
+    }
+    denominator = math.prod(int(p) ** k for p, k in shifts.items())
+    congruences = []
     for p, ball in nbhd.balls.items():
-        floor = min(ball.radius_exponent, valuation(ball.center, p))
-        if floor < 0:
-            denominator *= int(p) ** -floor
-    first = math.floor(lo * denominator) + 1
-    last = math.ceil(hi * denominator) - 1
-    if last - first + 1 > scan_cap:
-        raise SearchBoundExceeded(
-            f"{last - first + 1} candidates exceed the scan cap {scan_cap}"
-        )
-    for n in range(first, last + 1):
-        if n == 0:
-            continue
-        t = Fraction(n, denominator)
-        if not lo < t < hi:
-            continue
-        if nbhd.contains(scale(t, u)):
-            return t / r0
-    raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
+        e = ball.radius_exponent + shifts[p]
+        if e >= 1:
+            center = ball.center * denominator / u.component(p)
+            congruences.append((integer_in_ball(PadicBall(p, center, e)), int(p) ** e))
+    lo, hi = nbhd.real_interval
+    n = _pick_numerator(congruences, (lo * denominator / u.real_part, hi * denominator / u.real_part))
+    if n is None:
+        raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
+    return _verified(Fraction(n, denominator) / r0, a, nbhd)
+
+
+def _verified(r: Fraction, a: Adele, nbhd: Neighbourhood) -> Fraction:
+    if not nbhd.contains(scale(r, a)):
+        raise AssertionError(f"constructed witness {r} failed verification")
+    return r

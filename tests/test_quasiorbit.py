@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adelic.adele import (
@@ -17,7 +18,8 @@ from adelic.adele import (
     zero_set,
 )
 from adelic.errors import ClosedOrbitMiss, Infeasible, NotIntegral
-from adelic.padic import INFINITY, PadicBall, Prime
+from adelic.oracle import SearchBudget, witness_by_search
+from adelic.padic import INFINITY, PadicBall, Prime, valuation
 from adelic.quasiorbit import (
     FULL_GROUP,
     TRIVIAL,
@@ -291,6 +293,90 @@ class TestApproxWitnessFull:
             approx_witness(
                 embed_rational(1), Neighbourhood({}, real_interval=(F(0), F(1)))
             )
+
+
+def closed_denominator(balls):
+    """The denominator that every closed-orbit scaling t of a unit needs."""
+    return math.prod(
+        int(p) ** max(0, -min(ball.radius_exponent, valuation(ball.center, p)))
+        for p, ball in balls.items()
+    )
+
+
+def first_scan_hit(a, nbhd):
+    """Reference for closed orbits: with a = r0 * u, the first t = n/D in
+    ascending n whose scaling of u lands in nbhd, divided by r0."""
+    r0, u = factor_idele(a)
+    D = closed_denominator(nbhd.balls)
+    lo, hi = (x * D / u.real_part for x in nbhd.real_interval)
+    for n in range(math.floor(lo) + 1, math.ceil(hi)):
+        if n and nbhd.contains(scale(F(n, D), u)):
+            return F(n, D) / r0
+    return None
+
+
+@st.composite
+def small_closed_instances(draw):
+    """An invertible full adele and a neighbourhood with at most 10^4
+    candidates n/D in its real interval."""
+    explicit = draw(st.dictionaries(st.sampled_from([2, 3, 5]), small_nonzero, max_size=2))
+    a = full(explicit, DefaultSpec.rational(draw(st.sampled_from([1, -1]))), draw(small_nonzero))
+    balls = {
+        p: PadicBall(p, center, e)
+        for p, (center, e) in draw(
+            st.dictionaries(
+                st.sampled_from([2, 3, 5, 7]),
+                st.tuples(
+                    st.fractions(min_value=-20, max_value=20, max_denominator=8),
+                    st.integers(-1, 4),
+                ),
+                max_size=2,
+            )
+        ).items()
+    }
+    _, u = factor_idele(a)
+    D = closed_denominator(balls)
+    count = draw(st.integers(1, 10 ** draw(st.integers(0, 4))))
+    start = draw(st.integers(-count - 60, 60))
+    lo_t = F(start, D) + draw(st.fractions(min_value=0, max_value=1, max_denominator=6)) / D
+    interval = (lo_t * u.real_part, (lo_t + F(count, D)) * u.real_part)
+    return a, Neighbourhood(balls, real_interval=interval)
+
+
+class TestProgression:
+    """The CRT progression in the closed case and in the refinement step."""
+
+    def test_closed_orbit_far_from_the_interval_start(self):
+        # a million candidates n/1024 lie in (0, 1000); 1/1024 is the first
+        one = full({}, DefaultSpec.rational(1), F(1))
+        nbhd = Neighbourhood({2: PadicBall(2, F(1, 1024), 3)}, real_interval=(F(0), F(1000)))
+        assert approx_witness(one, nbhd) == F(1, 1024)
+
+    def test_case_one_refines_past_zero(self):
+        # D = 2 leaves only n = 0 in (-1, 1); one more factor 2 gives -1/4
+        a = full({2: F(0)}, DefaultSpec.rational(1), F(1))
+        nbhd = Neighbourhood({}, real_interval=(F(-1, 2), F(1, 2)))
+        assert approx_witness(a, nbhd) == F(-1, 4)
+
+    def test_case_two_refines_past_zero(self):
+        # D = 2 leaves only n = 0 in (-1, 1); the next default prime gives -1/3
+        a = full({}, DefaultSpec.times_p(1), F(1))
+        nbhd = Neighbourhood({}, real_interval=(F(-1, 2), F(1, 2)))
+        assert approx_witness(a, nbhd) == F(-1, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_closed_instances())
+    def test_closed_orbit_matches_scan_and_oracle(self, instance):
+        a, nbhd = instance
+        expected = first_scan_hit(a, nbhd)
+        if expected is None:
+            with pytest.raises(ClosedOrbitMiss):
+                approx_witness(a, nbhd)
+            assert witness_by_search(a, nbhd, SearchBudget(height_bound=60)) is None
+        else:
+            r = approx_witness(a, nbhd)
+            assert r == expected
+            assert nbhd.contains(scale(r, a))
 
 
 class TestWitnessAgainstBruteForce:

@@ -91,6 +91,18 @@ def _require_keys(doc: Dict, required, optional=()):
         raise ValueError(f"missing keys {sorted(missing)}")
 
 
+def _require_object(value: Any, what: str) -> Dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _require_list(value: Any, what: str) -> List:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 # -- adeles -----------------------------------------------------------------
 
 
@@ -114,7 +126,8 @@ def dump_default(d: DefaultSpec) -> Dict:
 
 def parse_adele(doc: Dict) -> Adele:
     _require_keys(doc, ["explicit", "default"], ["real"])
-    explicit = {parse_prime(k): parse_rational(v) for k, v in doc["explicit"].items()}
+    explicit = _require_object(doc["explicit"], "explicit")
+    explicit = {parse_prime(k): parse_rational(v) for k, v in explicit.items()}
     fin = FiniteAdele(explicit, parse_default(doc["default"]))
     if "real" in doc:
         return FullAdele(fin, parse_rational(doc["real"]))
@@ -147,7 +160,7 @@ def parse_prime_set(doc: Dict) -> PrimeSet:
     base = {"finite": FINITE_PRIMES, "extended": EXTENDED_PRIMES}.get(doc["base"])
     if base is None:
         raise ValueError(f"unknown base {doc['base']!r}")
-    members = frozenset(parse_place(m) for m in doc["members"])
+    members = frozenset(parse_place(m) for m in _require_list(doc["members"], "members"))
     return PrimeSet(base, doc["kind"], members)
 
 
@@ -164,7 +177,7 @@ def dump_prime_set(s: PrimeSet) -> Dict:
 def parse_neighbourhood(doc: Dict) -> Neighbourhood:
     _require_keys(doc, ["balls"], ["real_interval"])
     balls = {}
-    for key, ball_doc in doc["balls"].items():
+    for key, ball_doc in _require_object(doc["balls"], "balls").items():
         p = parse_prime(key)
         _require_keys(ball_doc, ["center", "radius_exponent"])
         exponent = ball_doc["radius_exponent"]
@@ -215,7 +228,8 @@ def dump_parameter_point(pt: ParameterPoint) -> Dict:
 
 def parse_character(doc: Dict) -> Character:
     _require_keys(doc, ["group"], ["sign_angle", "prime_angles"])
-    angles = {parse_prime(k): parse_rational(v) for k, v in doc.get("prime_angles", {}).items()}
+    angles = _require_object(doc.get("prime_angles", {}), "prime_angles")
+    angles = {parse_prime(k): parse_rational(v) for k, v in angles.items()}
     sign = parse_rational(doc.get("sign_angle", "0"))
     return Character(doc["group"], angles, sign)
 
@@ -252,7 +266,7 @@ def parse_descriptor(doc: Dict) -> SetDescriptor:
                 raise ValueError(f"unknown base {atom_doc['base']!r}")
             atoms.append(
                 SingletonFamily(
-                    frozenset(parse_place(p) for p in atom_doc["excluded"]), base
+                    frozenset(parse_place(p) for p in _require_list(atom_doc["excluded"], "excluded")), base
                 )
             )
         elif kind == "unit_point":

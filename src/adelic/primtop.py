@@ -13,6 +13,10 @@ Four spaces share one closure engine:
                   prime sets, and unit ideles (the full-adele
                   parametrization).
 
+The spaces differ only in the points they admit (the base of their prime
+sets, unit points, the character group, whether the full prime set is
+excluded); ``_close`` validates and closes a description for any of them.
+
 Subsets are finite symbolic descriptions (``SetDescriptor``), closures are
 again finite descriptions (``ClosedSetDescriptor``), and the closure
 operators are total functions on descriptors, so the Kuratowski axioms
@@ -349,37 +353,65 @@ def pc_basic_open(excluded: Iterable) -> Callable[[PrimeSet], bool]:
 _DescriptorInput = Union[SetDescriptor, ClosedSetDescriptor, Sequence]
 
 
-def _coerce_atoms(data: _DescriptorInput) -> Tuple[Optional[ClosedSetDescriptor], Tuple[Atom, ...]]:
-    """Normalize input into atoms; closed input is passed through whole."""
+@dataclass(frozen=True)
+class _Space:
+    """Which points a parameter space admits; everything else about a
+    closure is shared."""
+
+    name: str
+    base: Optional[str]  # the base of its prime sets; None admits either base
+    units: bool  # unit ideles are points
+    group: Optional[str]  # Q_PLUS or Q_FULL; None: no characters
+    proper: bool  # the full prime set is excluded
+
+
+# One rule set serves all four spaces:
+#
+# * a prime set closes to its up-set of supersets, because every basic open
+#   U_G of a superset also holds the set itself;
+# * a singleton family is dense, since cofinitely many singletons dodge any
+#   finite G, so it closes like the empty prime set, whose up-set is every
+#   prime set.  A dense prime-set part therefore closes to the whole space;
+#   in the bare power-cofinite space the up-set of the empty set already is
+#   the whole space and stays in that form;
+# * finite unit sets are bounded away from zero and are closed as they
+#   stand, an unflagged unit family stands for its prefix, and a family
+#   whose real coordinates accumulate at zero closes to everything;
+# * every neighbourhood of a character contains all the proper prime sets,
+#   so a nonempty prime-set part drags the whole character group into its
+#   closure, while finite character sets are closed.
+_PC = _Space("the power-cofinite space", None, units=False, group=None, proper=False)
+_TAU = _Space("the tau space", EXTENDED_PRIMES, units=True, group=None, proper=False)
+_PRIMCQ = _Space("the finite-adele Prim space", FINITE_PRIMES, units=False, group=Q_PLUS, proper=True)
+_PRIMFULL = _Space("the full-adele Prim space", EXTENDED_PRIMES, units=True, group=Q_FULL, proper=True)
+
+_GROUP_NAMES = {Q_PLUS: "positive rationals", Q_FULL: "full rational group"}
+
+
+def _parts(data: _DescriptorInput):
+    """Split input into prime sets (each standing for its up-set), unit
+    points, unit families, characters and the all-characters flag."""
     if isinstance(data, ClosedSetDescriptor):
-        return data, ()
-    if isinstance(data, SetDescriptor):
-        return None, data.atoms
-    atoms = []
-    for item in data:
-        if isinstance(item, PrimeSet):
-            atoms.append(PrimeSetPoint(item))
-        elif isinstance(
-            item, (PrimeSetPoint, SingletonFamily, UnitPoint, UnitFamily, CharacterPoint, AllCharacters)
-        ):
-            atoms.append(item)
-        else:
-            raise MalformedDescriptor(f"not a descriptor atom: {item!r}")
-    return None, tuple(atoms)
-
-
-def _split_atoms(atoms: Sequence[Atom]):
-    prime_points: List[PrimeSet] = []
-    families: List[SingletonFamily] = []
+        return (
+            list(data.up_sets),
+            list(data.unit_points),
+            [],
+            list(data.character_points),
+            data.all_characters,
+        )
+    atoms = data.atoms if isinstance(data, SetDescriptor) else [
+        PrimeSetPoint(item) if isinstance(item, PrimeSet) else item for item in data
+    ]
+    up: List[PrimeSet] = []
     units: List[UnitIdele] = []
     unit_families: List[UnitFamily] = []
     characters: List[Character] = []
     all_chars = False
     for atom in atoms:
         if isinstance(atom, PrimeSetPoint):
-            prime_points.append(atom.point)
+            up.append(atom.point)
         elif isinstance(atom, SingletonFamily):
-            families.append(atom)
+            up.append(PrimeSet.finite((), base=atom.base))
         elif isinstance(atom, UnitPoint):
             units.append(atom.unit)
         elif isinstance(atom, UnitFamily):
@@ -390,180 +422,73 @@ def _split_atoms(atoms: Sequence[Atom]):
             all_chars = True
         else:
             raise MalformedDescriptor(f"not a descriptor atom: {atom!r}")
-    return prime_points, families, units, unit_families, characters, all_chars
+    return up, units, unit_families, characters, all_chars
 
 
-def pc_dense(data: _DescriptorInput) -> bool:
-    """Whether a prime-set description meets every basic open U_G.
+def _close(space: _Space, data: _DescriptorInput) -> ClosedSetDescriptor:
+    """The closure of a description in a space.
 
-    A finite list of points is dense exactly when it contains the empty
-    set; a singleton family is always dense because cofinitely many
-    singletons dodge any finite G.
+    Atoms and closed descriptions are validated alike, in a fixed order:
+    atom kinds, then per prime set its base and properness, then the
+    character group.
     """
-    closed, atoms = _coerce_atoms(data)
-    if closed is not None:
-        if closed.whole_space:
-            return True
-        return any(s.is_empty for s in closed.up_sets)
-    prime_points, families, units, unit_families, characters, all_chars = _split_atoms(atoms)
-    if units or unit_families or characters or all_chars:
-        raise MalformedDescriptor("density is asked of prime-set descriptions only")
-    return bool(families) or any(s.is_empty for s in prime_points)
-
-
-def _up_set_closure(prime_points, families) -> Tuple[PrimeSet, ...]:
-    up = list(prime_points)
-    for fam in families:
-        # the power-cofinite closure of a singleton family is everything
-        up.append(PrimeSet.finite((), base=fam.base))
-    return tuple(up)
-
-
-def pc_closure(data: _DescriptorInput) -> ClosedSetDescriptor:
-    """Closure in the bare power-cofinite space.
-
-    The closure of a point is its up-set of supersets; a list closes to
-    the union of up-sets, and the whole space appears as the up-set of
-    the empty set.
-    """
-    closed, atoms = _coerce_atoms(data)
-    if closed is not None:
-        if closed.unit_points or closed.character_points or closed.all_characters:
-            raise MalformedDescriptor("the power-cofinite space holds prime sets only")
-        return ClosedSetDescriptor(up_sets=closed.up_sets) if not closed.whole_space else WHOLE_SPACE
-    prime_points, families, units, unit_families, characters, all_chars = _split_atoms(atoms)
-    if units or unit_families or characters or all_chars:
-        raise MalformedDescriptor("the power-cofinite space holds prime sets only")
-    return ClosedSetDescriptor(up_sets=_up_set_closure(prime_points, families))
-
-
-def tau_closure(data: _DescriptorInput) -> ClosedSetDescriptor:
-    """Closure in the quotient topology on prime sets joined with units.
-
-    A power-cofinite dense prime-set part, or a unit family whose real
-    coordinates accumulate at zero, closes to the whole space.  Otherwise
-    the prime-set part closes power-cofinitely and finite unit sets, being
-    bounded away from zero, are already closed.
-    """
-    closed, atoms = _coerce_atoms(data)
-    if closed is not None:
-        if closed.character_points or closed.all_characters:
-            raise MalformedDescriptor("the tau space has no characters")
-        if not closed.whole_space and any(s.is_empty for s in closed.up_sets):
-            return WHOLE_SPACE  # the up-set of the empty set is dense
-        return closed
-    prime_points, families, units, unit_families, characters, all_chars = _split_atoms(atoms)
-    if characters or all_chars:
-        raise MalformedDescriptor("the tau space has no characters")
-    for s in prime_points:
-        if s.base != EXTENDED_PRIMES:
-            raise MalformedDescriptor("tau prime sets live over the extended primes")
-    for fam in families:
-        if fam.base != EXTENDED_PRIMES:
-            raise MalformedDescriptor("tau prime sets live over the extended primes")
-    if bool(families) or any(s.is_empty for s in prime_points):
+    if isinstance(data, ClosedSetDescriptor) and data.whole_space:
         return WHOLE_SPACE
-    if any(f.inf_abs_zero for f in unit_families):
-        return WHOLE_SPACE
+    up, units, unit_families, characters, all_chars = _parts(data)
+    if (units or unit_families) and not space.units:
+        raise MalformedDescriptor(f"{space.name} has no unit points")
+    if (characters or all_chars) and space.group is None:
+        raise MalformedDescriptor(f"{space.name} has no characters")
+    for s in up:
+        if space.base is not None and s.base != space.base:
+            raise MalformedDescriptor(
+                f"prime sets of {space.name} live over the {space.base.replace('_', ' ')}, "
+                f"got {s.base.replace('_', ' ')}"
+            )
+        if space.proper and s.is_whole_base:
+            raise ImproperPoint(f"the full prime set is not a point of {space.name}")
+    for c in characters:
+        if c.group != space.group:
+            raise MalformedDescriptor(f"characters here live on the {_GROUP_NAMES[space.group]}")
+    if space.units or space.group:  # else the up-set of the empty set is the whole space
+        if any(s.is_empty for s in up) or any(f.inf_abs_zero for f in unit_families):
+            return WHOLE_SPACE
     for f in unit_families:
         units.extend(f.prefix)
     return ClosedSetDescriptor(
-        up_sets=_up_set_closure(prime_points, families), unit_points=tuple(units)
+        up_sets=tuple(up),
+        unit_points=tuple(units),
+        character_points=tuple(characters),
+        all_characters=all_chars or bool(up and space.group),
     )
 
 
-def _validate_proper(prime_points, families, base: str, space: str):
-    for s in prime_points:
-        if s.base != base:
-            raise MalformedDescriptor(
-                f"{space} prime sets live over the {base}, got {s.base}"
-            )
-        if s.is_whole_base:
-            raise ImproperPoint(f"the full prime set is not a point of {space}")
-    for fam in families:
-        if fam.base != base:
-            raise MalformedDescriptor(
-                f"{space} prime sets live over the {base}, got {fam.base}"
-            )
+def pc_dense(data: _DescriptorInput) -> bool:
+    """Whether a prime-set description meets every basic open U_G."""
+    closed = _close(_PC, data)
+    return closed.whole_space or any(s.is_empty for s in closed.up_sets)
+
+
+def pc_closure(data: _DescriptorInput) -> ClosedSetDescriptor:
+    """Closure in the bare power-cofinite space."""
+    return _close(_PC, data)
+
+
+def tau_closure(data: _DescriptorInput) -> ClosedSetDescriptor:
+    """Closure in the quotient topology on prime sets joined with units."""
+    return _close(_TAU, data)
 
 
 def primcq_closure(data: _DescriptorInput) -> ClosedSetDescriptor:
     """Closure in the finite-adele parametrization: proper prime sets
-    joined with characters of the positive rationals.
-
-    Every neighbourhood of a character contains all the proper prime
-    sets, so any nonempty prime-set part drags the whole character group
-    into its closure; finite character sets are closed.
-    """
-    closed, atoms = _coerce_atoms(data)
-    if closed is not None:
-        if closed.unit_points:
-            raise MalformedDescriptor("this space has no unit points")
-        if closed.whole_space:
-            return WHOLE_SPACE
-        prime_points = list(closed.up_sets)
-        families: List[SingletonFamily] = []
-        characters = list(closed.character_points)
-        all_chars = closed.all_characters
-    else:
-        prime_points, families, units, unit_families, characters, all_chars = _split_atoms(atoms)
-        if units or unit_families:
-            raise MalformedDescriptor("this space has no unit points")
-    _validate_proper(prime_points, families, FINITE_PRIMES, "this space")
-    for c in characters:
-        if c.group != Q_PLUS:
-            raise MalformedDescriptor("characters here live on the positive rationals")
-    if bool(families) or any(s.is_empty for s in prime_points):
-        return WHOLE_SPACE
-    up_sets = _up_set_closure(prime_points, families)
-    if up_sets:
-        all_chars = True
-    return ClosedSetDescriptor(
-        up_sets=up_sets,
-        character_points=tuple(characters),
-        all_characters=all_chars,
-    )
+    joined with characters of the positive rationals."""
+    return _close(_PRIMCQ, data)
 
 
 def prim_full_closure(data: _DescriptorInput) -> ClosedSetDescriptor:
     """Closure in the full-adele parametrization: characters of the
-    rationals, proper extended prime sets, and unit ideles.
-
-    Prime-set parts behave as in the finite-adele space (dragging in all
-    characters); unit parts bounded away from zero are closed as they
-    stand, while an accumulating unit family closes to everything.
-    """
-    closed, atoms = _coerce_atoms(data)
-    if closed is not None:
-        if closed.whole_space:
-            return WHOLE_SPACE
-        prime_points = list(closed.up_sets)
-        families: List[SingletonFamily] = []
-        units = list(closed.unit_points)
-        unit_families: List[UnitFamily] = []
-        characters = list(closed.character_points)
-        all_chars = closed.all_characters
-    else:
-        prime_points, families, units, unit_families, characters, all_chars = _split_atoms(atoms)
-    _validate_proper(prime_points, families, EXTENDED_PRIMES, "the full-adele Prim space")
-    for c in characters:
-        if c.group != Q_FULL:
-            raise MalformedDescriptor("characters here live on the full rational group")
-    if bool(families) or any(s.is_empty for s in prime_points):
-        return WHOLE_SPACE
-    if any(f.inf_abs_zero for f in unit_families):
-        return WHOLE_SPACE
-    for f in unit_families:
-        units.extend(f.prefix)
-    up_sets = _up_set_closure(prime_points, families)
-    if up_sets:
-        all_chars = True
-    return ClosedSetDescriptor(
-        up_sets=up_sets,
-        unit_points=tuple(units),
-        character_points=tuple(characters),
-        all_characters=all_chars,
-    )
+    rationals, proper extended prime sets, and unit ideles."""
+    return _close(_PRIMFULL, data)
 
 
 def closed_contains_atom(closed: ClosedSetDescriptor, atom: Atom) -> bool:

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import adelic
 from adelic.cli import main
 
 F = Fraction
@@ -212,10 +214,14 @@ class TestDeterminism:
         assert code == 0 and "\n" in out
 
     def test_console_entry_point(self):
+        # the child imports the same adelic as this process, installed or not
+        src = os.path.dirname(os.path.dirname(adelic.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "adelic.cli", "valuation", "--q", "12", "--p", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"valuation": 2}

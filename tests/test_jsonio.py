@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adelic import jsonio
+from adelic.cli import main
 from adelic.adele import (
     DefaultSpec,
     EXTENDED_PRIMES,
@@ -127,3 +128,30 @@ class TestOtherRoundTrips:
     def test_unknown_atom_rejected(self):
         with pytest.raises(ValueError):
             jsonio.parse_descriptor({"atoms": [{"kind": "mystery"}]})
+
+
+ONE = {"kind": "rational", "q": "1"}
+WRONG_CONTAINERS = [
+    # a list where an object belongs used to escape as AttributeError
+    (jsonio.parse_adele, {"explicit": [], "default": ONE}),
+    (jsonio.parse_neighbourhood, {"balls": [1]}),
+    (jsonio.parse_character, {"group": "q_plus", "prime_angles": [["2", "1/2"]]}),
+    # a string or object where a list belongs used to be read as its characters or keys
+    (jsonio.parse_prime_set, {"base": "finite", "kind": "finite", "members": "23"}),
+    (jsonio.parse_prime_set, {"base": "finite", "kind": "finite", "members": {"2": 1}}),
+    (jsonio.parse_descriptor, {"atoms": [{"kind": "singleton_family", "excluded": "23"}]}),
+    (jsonio.parse_descriptor, {"atoms": [{"kind": "singleton_family", "excluded": {"2": 1}}]}),
+]
+
+
+@pytest.mark.parametrize("parse, doc", WRONG_CONTAINERS)
+def test_wrong_container_type_rejected(parse, doc):
+    with pytest.raises(ValueError):
+        parse(doc)
+
+
+def test_wrong_container_type_is_invalid_input_on_the_cli(capsys):
+    assert main(["abs", "--adele", json.dumps({"explicit": [], "default": ONE, "real": "1"})]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"code": "invalid_input", "detail": "explicit must be a JSON object, got list"}
+    }

@@ -380,3 +380,41 @@ class TestSpecializationAntisymmetry:
             for y in points:
                 if point_specializes(x, y) and point_specializes(y, x):
                     assert x == y
+
+
+def _closed_form(atoms):
+    """The same points as a closed description."""
+    return ClosedSetDescriptor(
+        up_sets=tuple(a.point for a in atoms if isinstance(a, PrimeSetPoint)),
+        unit_points=tuple(a.unit for a in atoms if isinstance(a, UnitPoint)),
+        character_points=tuple(a.character for a in atoms if isinstance(a, CharacterPoint)),
+        all_characters=ALL_CHARACTERS in atoms,
+    )
+
+
+BAD_INPUT = [
+    (pc_closure, [UnitPoint(unit())], MalformedDescriptor),
+    (pc_closure, [CharacterPoint(Character(Q_PLUS, {}))], MalformedDescriptor),
+    (tau_closure, [PrimeSetPoint(fin(2))], MalformedDescriptor),
+    (tau_closure, [CharacterPoint(Character(Q_FULL, {}))], MalformedDescriptor),
+    (tau_closure, [ALL_CHARACTERS], MalformedDescriptor),
+    (primcq_closure, [PrimeSetPoint(ext(2))], MalformedDescriptor),
+    (primcq_closure, [PrimeSetPoint(PrimeSet.cofinite())], ImproperPoint),
+    (primcq_closure, [CharacterPoint(Character(Q_FULL, {}))], MalformedDescriptor),
+    (primcq_closure, [UnitPoint(unit())], MalformedDescriptor),
+    (prim_full_closure, [PrimeSetPoint(fin(2))], MalformedDescriptor),
+    (prim_full_closure, [PrimeSetPoint(PrimeSet.cofinite((), base=EXTENDED_PRIMES))], ImproperPoint),
+    (prim_full_closure, [CharacterPoint(Character(Q_PLUS, {}))], MalformedDescriptor),
+    # mixed-bad input: atom kinds, then base, then properness, then the group
+    (primcq_closure, [UnitPoint(unit()), PrimeSetPoint(PrimeSet.cofinite())], MalformedDescriptor),
+    (primcq_closure, [PrimeSetPoint(PrimeSet.cofinite((), base=EXTENDED_PRIMES))], MalformedDescriptor),
+    (primcq_closure, [PrimeSetPoint(PrimeSet.cofinite()), CharacterPoint(Character(Q_FULL, {}))], ImproperPoint),
+]
+
+
+@pytest.mark.parametrize("closure, atoms, error", BAD_INPUT)
+def test_closed_input_is_validated_like_atoms(closure, atoms, error):
+    with pytest.raises(error):
+        closure(SetDescriptor(tuple(atoms)))
+    with pytest.raises(error):
+        closure(_closed_form(atoms))

@@ -8,8 +8,10 @@ component at the default prime p is q*p, so p divides the adele there).
 The archimedean coordinate of a full adele is an exact rational.
 
 Equality of adeles is semantic: two descriptions are equal when they have
-the same component at every place, decided by comparing defaults and the
-union of explicit keys.  Values are immutable and operations are pure.
+the same component at every place.  Equality and hashing go through one
+canonical key, ``sort_key``, that every description of an adele shares,
+and every answer, witnesses included, depends on the adele, not on its
+description.  Values are immutable and operations are pure.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def _normalize_explicit(explicit) -> Dict[Prime, Fraction]:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteAdele:
     """An element of the restricted product of the p-adic fields.
 
@@ -140,12 +142,27 @@ class FiniteAdele:
     def is_zero(self) -> bool:
         return self.default.kind == ZERO and all(v == 0 for v in self.explicit.values())
 
+    def sort_key(self):
+        """The canonical key: the explicit entries that differ from the
+        default rule, then the rule.  Two descriptions have the same
+        components exactly when their keys agree, since distinct default
+        rules disagree at infinitely many primes."""
+        d = self.default
+        q = Fraction(0) if d.q is None else d.q
+        entries = tuple(
+            (int(p), v.numerator, v.denominator)
+            for p, v in self.explicit.items()
+            if v != d.value_at(p)
+        )
+        return (entries, d.kind, q.numerator, q.denominator)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteAdele):
             return NotImplemented
-        return _finite_parts_equal(self, other)
+        return self.sort_key() == other.sort_key()
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self.sort_key())
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{int(p)}: {v}" for p, v in self.explicit.items())
@@ -153,17 +170,20 @@ class FiniteAdele:
         return f"FiniteAdele({{{parts}}}, default={tail})"
 
 
-def _finite_parts_equal(a: FiniteAdele, b: FiniteAdele) -> bool:
-    if a.default != b.default:
-        # distinct default rules disagree at infinitely many primes: ZERO
-        # vs nonzero everywhere, RATIONAL(q) vs RATIONAL(q'), and
-        # RATIONAL vs TIMES_P cannot coincide at more than one prime
-        return False
-    keys = set(a.explicit) | set(b.explicit)
-    return all(a.component(p) == b.component(p) for p in keys)
+def _governed_by_default(fin: FiniteAdele, p: Prime) -> bool:
+    """Whether p is not explicit, or its entry restates the default rule
+    and p divides neither term of the default rational: a property of the
+    adele, not of its description."""
+    v = fin.explicit.get(p)
+    if v is None:
+        return True
+    q = fin.default.q
+    return v == fin.default.value_at(p) and (
+        q is None or (q.numerator % p != 0 and q.denominator % p != 0)
+    )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FullAdele:
     """A finite adele together with an exact rational archimedean coordinate."""
 
@@ -193,14 +213,18 @@ class FullAdele:
     def is_zero(self) -> bool:
         return self.real_part == 0 and self.finite_part.is_zero
 
+    def sort_key(self):
+        """The finite part's canonical key, then the real coordinate."""
+        return self.finite_part.sort_key() + (self.real_part.numerator, self.real_part.denominator)
+
     def __eq__(self, other) -> bool:
+        # a UnitIdele equals an equal FullAdele
         if not isinstance(other, FullAdele):
             return NotImplemented
-        return self.real_part == other.real_part and _finite_parts_equal(
-            self.finite_part, other.finite_part
-        )
+        return self.sort_key() == other.sort_key()
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self.sort_key())
 
     def __repr__(self) -> str:
         return f"FullAdele({self.finite_part!r}, real={self.real_part})"
@@ -337,11 +361,7 @@ class Neighbourhood:
 
     def contains(self, a: Adele) -> bool:
         """Exact membership of a finitely described adele."""
-        full = isinstance(a, FullAdele)
-        if full and self.real_interval is None:
-            raise ValueError("full-adele membership needs a real interval")
-        if not full and self.real_interval is not None:
-            raise ValueError("finite-adele membership admits no real interval")
+        full = _check_kind(a, self)
         for p, ball in self.balls.items():
             if not ball.contains(a.component(p)):
                 return False
@@ -355,6 +375,17 @@ class Neighbourhood:
             if not lo < a.real_part < hi:
                 return False
         return True
+
+
+def _check_kind(a: Adele, nbhd: Neighbourhood) -> bool:
+    """Whether a is a full adele, after checking that the neighbourhood
+    has a real interval exactly when it is."""
+    full = isinstance(a, FullAdele)
+    if full and nbhd.real_interval is None:
+        raise ValueError("full-adele neighbourhoods need a real interval")
+    if not full and nbhd.real_interval is not None:
+        raise ValueError("finite-adele neighbourhoods admit no real interval")
+    return full
 
 
 def embed_rational(q: Rational, kind: str = "finite") -> Adele:

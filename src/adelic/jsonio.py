@@ -30,6 +30,7 @@ from .padic import (
     INFINITY,
     PadicBall,
     Prime,
+    extended_prime_key,
     is_infinite_place,
 )
 from .primtop import (
@@ -165,8 +166,6 @@ def parse_prime_set(doc: Dict) -> PrimeSet:
 
 
 def dump_prime_set(s: PrimeSet) -> Dict:
-    from .padic import extended_prime_key
-
     return {
         "base": "finite" if s.base == FINITE_PRIMES else "extended",
         "kind": s.kind,

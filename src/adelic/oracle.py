@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, gcd
 from typing import Iterable, List, Optional
 
 from .adele import Adele, FullAdele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
+from .adele import _check_kind, _governed_by_default
 from .padic import Prime, extended_prime_key, is_infinite_place, iter_primes
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
@@ -51,7 +53,7 @@ def _allowed_denominator_primes(a: Adele, budget: SearchBudget) -> List[Prime]:
         for p in iter_primes():
             if p > bound:
                 break
-            if p not in fin.explicit:
+            if _governed_by_default(fin, p):
                 allowed.add(p)
     return sorted(allowed)
 
@@ -88,11 +90,7 @@ def witness_by_search(
     is impossible; the surviving candidates are still verified in height
     order.
     """
-    full = isinstance(a, FullAdele)
-    if full and nbhd.real_interval is None:
-        raise ValueError("full-adele search needs a real interval")
-    if not full and nbhd.real_interval is not None:
-        raise ValueError("finite-adele neighbourhoods admit no real interval")
+    full = _check_kind(a, nbhd)
 
     # constraints independent of r: a vanishing coordinate never moves
     for p, ball in nbhd.balls.items():
@@ -113,8 +111,6 @@ def witness_by_search(
 
 
 def _search_by_height(a, nbhd, budget, denominators, full) -> Optional[Fraction]:
-    from math import gcd
-
     den_set = set(denominators)
     signs = (1, -1) if full else (1,)
     for height in range(1, budget.height_bound + 1):
@@ -145,8 +141,6 @@ def _search_by_height(a, nbhd, budget, denominators, full) -> Optional[Fraction]
 
 def _search_interval_clipped(a, nbhd, budget, denominators) -> Optional[Fraction]:
     """Height-ordered scan of the candidates the real interval admits."""
-    from math import ceil, floor, gcd
-
     lo, hi = nbhd.real_interval
     candidates = []
     for d in denominators:

@@ -32,43 +32,45 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 from .adele import EXTENDED_PRIMES, FINITE_PRIMES, PrimeSet, UnitIdele
 from .errors import ImproperPoint, MalformedDescriptor, NegativeForQPlus
 from .padic import Prime, Rational, is_infinite_place, valuation
+from .quasiorbit import PRIME_SET, ParameterPoint
 
 # character groups
 Q_PLUS = "q_plus"
 Q_FULL = "q_full"
 
 
+@dataclass(frozen=True)
 class Character:
     """A finitely supported character of the (positive) rationals.
 
     The positive rationals are free abelian on the primes, so a character
     is pinned by a finite map of prime angles; the full rational group
     adds a sign angle in {0, 1/2} for the value at -1.  Angles are exact
-    rationals in [0, 1), denoting points of the unit circle.
+    rationals in [0, 1), denoting points of the unit circle.  Any map of
+    prime angles is accepted and normalized to sorted (prime, angle) pairs
+    with the zero angles dropped.
     """
 
-    __slots__ = ("group", "sign_angle", "prime_angles")
+    group: str
+    prime_angles: Tuple[Tuple[Prime, Fraction], ...] = None
+    sign_angle: Rational = 0
 
-    def __init__(self, group: str, prime_angles=None, sign_angle: Rational = 0):
-        if group not in (Q_PLUS, Q_FULL):
-            raise ValueError(f"unknown character group {group!r}")
-        sign = Fraction(sign_angle) % 1
-        if group == Q_PLUS:
+    def __post_init__(self):
+        if self.group not in (Q_PLUS, Q_FULL):
+            raise ValueError(f"unknown character group {self.group!r}")
+        sign = Fraction(self.sign_angle) % 1
+        if self.group == Q_PLUS:
             if sign != 0:
                 raise ValueError("characters of the positive rationals have no sign angle")
         elif sign not in (Fraction(0), Fraction(1, 2)):
             raise ValueError("the sign angle must be 0 or 1/2")
         angles = {}
-        for p, angle in dict(prime_angles or {}).items():
+        for p, angle in dict(self.prime_angles or {}).items():
             angle = Fraction(angle) % 1
             if angle != 0:
                 angles[Prime(p)] = angle
-        object.__setattr__(self, "group", group)
         object.__setattr__(self, "sign_angle", sign)
         object.__setattr__(self, "prime_angles", tuple(sorted(angles.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
 
     def angle_at(self, p) -> Fraction:
         p = Prime(p)
@@ -80,18 +82,6 @@ class Character:
     @property
     def is_trivial(self) -> bool:
         return self.sign_angle == 0 and not self.prime_angles
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Character):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.sign_angle == other.sign_angle
-            and self.prime_angles == other.prime_angles
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.sign_angle, self.prime_angles))
 
     def sort_key(self):
         return (
@@ -148,21 +138,14 @@ class SingletonFamily:
         object.__setattr__(self, "excluded", members)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UnitPoint:
     """A single unit idele."""
 
     unit: UnitIdele
 
-    def __eq__(self, other):
-        if not isinstance(other, UnitPoint):
-            return NotImplemented
-        return self.unit == other.unit
 
-    __hash__ = None
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UnitFamily:
     """An infinite family of unit ideles known only through a finite prefix.
 
@@ -188,8 +171,6 @@ class UnitFamily:
                 )
         object.__setattr__(self, "prefix", prefix)
 
-    __hash__ = None
-
 
 @dataclass(frozen=True)
 class CharacterPoint:
@@ -208,7 +189,7 @@ ALL_CHARACTERS = AllCharacters()
 Atom = Union[PrimeSetPoint, SingletonFamily, UnitPoint, UnitFamily, CharacterPoint, AllCharacters]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SetDescriptor:
     """A finite union of atoms describing a subset of a parameter space."""
 
@@ -224,30 +205,8 @@ class SetDescriptor:
     def union(self, other: "SetDescriptor") -> "SetDescriptor":
         return SetDescriptor(self.atoms + other.atoms)
 
-    __hash__ = None
 
-
-def _unit_sort_key(u: UnitIdele):
-    # prune entries that restate the default rule so semantically equal
-    # units share one canonical key
-    pruned = tuple(
-        (int(p), v.numerator, v.denominator)
-        for p, v in u.explicit.items()
-        if v != u.default.value_at(p)
-    )
-    q = u.default.q
-    return (pruned, q.numerator, q.denominator, u.real_part.numerator, u.real_part.denominator)
-
-
-def _dedupe_units(units: Iterable[UnitIdele]) -> Tuple[UnitIdele, ...]:
-    out: List[UnitIdele] = []
-    for u in units:
-        if not any(u == seen for seen in out):
-            out.append(u)
-    return tuple(sorted(out, key=_unit_sort_key))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClosedSetDescriptor:
     """A canonical finite description of a closed subset.
 
@@ -277,7 +236,9 @@ class ClosedSetDescriptor:
                 kept = [t for t in kept if not (t.base == s.base and s.is_subset_of(t))]
                 kept.append(s)
         object.__setattr__(self, "up_sets", tuple(sorted(kept, key=lambda t: t.sort_key())))
-        object.__setattr__(self, "unit_points", _dedupe_units(self.unit_points))
+        # of equal units the first given is kept
+        units = sorted(dict.fromkeys(self.unit_points), key=UnitIdele.sort_key)
+        object.__setattr__(self, "unit_points", tuple(units))
         chars = () if self.all_characters else tuple(
             sorted(set(self.character_points), key=Character.sort_key)
         )
@@ -302,20 +263,6 @@ class ClosedSetDescriptor:
             character_points=self.character_points + other.character_points,
             all_characters=self.all_characters or other.all_characters,
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClosedSetDescriptor):
-            return NotImplemented
-        return (
-            self.whole_space == other.whole_space
-            and self.up_sets == other.up_sets
-            and self.all_characters == other.all_characters
-            and self.character_points == other.character_points
-            and len(self.unit_points) == len(other.unit_points)
-            and all(a == b for a, b in zip(self.unit_points, other.unit_points))
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         if self.whole_space:
@@ -495,18 +442,20 @@ def closed_contains_atom(closed: ClosedSetDescriptor, atom: Atom) -> bool:
     """Whether the set an atom denotes sits inside a closed description."""
     if closed.whole_space:
         return True
+    # the power-cofinite space admits both bases; up-sets hold prime sets
+    # of their own base only
     if isinstance(atom, PrimeSetPoint):
-        return any(up.is_subset_of(atom.point) for up in closed.up_sets)
+        return any(
+            up.base == atom.point.base and up.is_subset_of(atom.point) for up in closed.up_sets
+        )
     if isinstance(atom, SingletonFamily):
-        return any(up.is_empty for up in closed.up_sets)
+        return any(up.base == atom.base and up.is_empty for up in closed.up_sets)
     if isinstance(atom, UnitPoint):
-        return any(atom.unit == u for u in closed.unit_points)
+        return atom.unit in closed.unit_points
     if isinstance(atom, UnitFamily):
         if atom.inf_abs_zero:
             return False  # only the whole space swallows an accumulating family
-        return all(
-            any(u == v for v in closed.unit_points) for u in atom.prefix
-        )
+        return all(u in closed.unit_points for u in atom.prefix)
     if isinstance(atom, CharacterPoint):
         return closed.all_characters or atom.character in closed.character_points
     if isinstance(atom, AllCharacters):
@@ -525,9 +474,6 @@ def point_specializes(x, y) -> bool:
 
 
 def _parameter_atom(point) -> Atom:
-    # local import: quasiorbit already imports the adele layer
-    from .quasiorbit import PRIME_SET, ParameterPoint
-
     if not isinstance(point, ParameterPoint):
         raise ValueError("expected a quasi-orbit parameter point")
     if point.kind == PRIME_SET:

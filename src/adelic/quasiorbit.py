@@ -30,6 +30,7 @@ from .adele import (
     scale,
     zero_set,
 )
+from .adele import _check_kind, _governed_by_default
 from .errors import ClosedOrbitMiss, Infeasible, NotIntegral
 from .padic import (
     PadicBall,
@@ -49,7 +50,7 @@ PRIME_SET = "prime_set"
 UNIT_CLASS = "unit_class"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParameterPoint:
     """A point of the quasi-orbit parameter space: either the zero set of
     a noninvertible class or the canonical unit representative of a closed
@@ -76,17 +77,6 @@ class ParameterPoint:
     @classmethod
     def of_unit(cls, u: UnitIdele) -> "ParameterPoint":
         return cls(UNIT_CLASS, unit=u)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParameterPoint):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == PRIME_SET:
-            return self.prime_set == other.prime_set
-        return self.unit == other.unit
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         payload = self.prime_set if self.kind == PRIME_SET else self.unit
@@ -188,7 +178,7 @@ def is_zero_divisor(a: FiniteAdele) -> bool:
 def _default_primes(fin: FiniteAdele, skip=frozenset()) -> Iterator[Prime]:
     """The primes governed by the default rule, ascending, minus skips."""
     for p in iter_primes():
-        if p not in fin.explicit and p not in skip:
+        if p not in skip and _governed_by_default(fin, p):
             yield p
 
 
@@ -200,15 +190,6 @@ def _smallest_vanishing_finite_prime(fin: FiniteAdele) -> Optional[Prime]:
         if best is None or d < best:
             best = d
     return best
-
-
-def _check_neighbourhood_kind(a: Adele, nbhd: Neighbourhood) -> bool:
-    full = isinstance(a, FullAdele)
-    if full and nbhd.real_interval is None:
-        raise ValueError("full-adele witnesses need a real interval")
-    if not full and nbhd.real_interval is not None:
-        raise ValueError("finite-adele neighbourhoods admit no real interval")
-    return full
 
 
 def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
@@ -232,7 +213,7 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     Raises Infeasible on a zero-pattern conflict and ClosedOrbitMiss when
     an invertible full adele's closed orbit misses the neighbourhood.
     """
-    full = _check_neighbourhood_kind(a, nbhd)
+    full = _check_kind(a, nbhd)
     if full and is_invertible(a):
         return _closed_orbit_search(a, nbhd)
 
@@ -288,12 +269,10 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         if case_one_prime is not None:
             while tail_factor <= threshold:
                 tail_factor *= int(case_one_prime)
-        elif fin.default.kind == TIMES_P:
+        else:  # noninvertible with nothing vanishing: a TIMES_P default
             case_two_primes = _default_primes(fin, skip=frozenset(nbhd.balls))
             while tail_factor <= threshold:
                 tail_factor *= int(next(case_two_primes))
-        else:
-            raise AssertionError("noninvertible full adele with no vanishing prime must be TIMES_P")
 
     # The tail growth made the open numerator range longer than the
     # modulus, so it holds a progression term and only a lone 0 can be

@@ -287,3 +287,91 @@ class TestNeighbourhood:
     def test_interval_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Neighbourhood({}, real_interval=(F(1), F(1)))
+
+
+PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def descriptions(draw, default=None):
+    """A finite adele over 2, 3, 5, 7 with small values, where each prime
+    is left to the default rule, restates it explicitly, or differs."""
+    if default is None:
+        kind = draw(st.sampled_from(["zero", "rational", "times_p"]))
+        q = None if kind == "zero" else draw(st.sampled_from([F(1), F(-1), F(2), F(1, 3), F(-6, 5)]))
+        default = DefaultSpec(kind, q)
+    q = default.q
+    explicit = {}
+    for p in PRIMES:
+        choice = draw(st.sampled_from(["absent", "restated", "other"]))
+        if choice == "absent" and (q is None or (q.numerator % p and q.denominator % p)):
+            continue
+        if choice == "other":
+            explicit[p] = draw(st.sampled_from([F(0), F(1), F(p), F(1, p), F(-2)]))
+        else:
+            explicit[p] = default.value_at(p)
+    return FiniteAdele(explicit, default)
+
+
+@st.composite
+def description_pairs(draw):
+    """Two finite or two full adeles, sharing their default rule (and
+    real part) often enough that equal pairs are common."""
+    a = draw(descriptions())
+    b = draw(descriptions(default=a.default if draw(st.booleans()) else None))
+    if draw(st.booleans()):
+        reals = st.sampled_from([F(1), F(1, 2)])
+        a, b = FullAdele(a, draw(reals)), FullAdele(b, draw(reals))
+    return a, b
+
+
+def componentwise_equal(a, b):
+    """Equality of adeles by definition: the same default rule and the same
+    component at every explicit prime of either description."""
+    if isinstance(a, FullAdele):
+        if a.real_part != b.real_part:
+            return False
+        a, b = a.finite_part, b.finite_part
+    if a.default != b.default:
+        return False
+    return all(a.component(p) == b.component(p) for p in set(a.explicit) | set(b.explicit))
+
+
+def pruned_unit_key(u):
+    """The order closed descriptions list rational-default units in."""
+    pruned = tuple(
+        (int(p), v.numerator, v.denominator)
+        for p, v in u.explicit.items()
+        if v != u.default.value_at(p)
+    )
+    q = u.default.q
+    return (pruned, q.numerator, q.denominator, u.real_part.numerator, u.real_part.denominator)
+
+
+class TestCanonicalKey:
+    @given(description_pairs())
+    def test_equality_is_componentwise_and_hash_follows(self, pair):
+        a, b = pair
+        assert (a == b) == componentwise_equal(a, b)
+        assert (a.sort_key() == b.sort_key()) == (a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @given(st.data())
+    def test_rational_defaults_order_by_pruned_entries_then_q_then_real(self, data):
+        qs = st.sampled_from([F(1), F(-1), F(2), F(1, 3)])
+        a, b = (
+            FullAdele(
+                data.draw(descriptions(default=DefaultSpec.rational(data.draw(qs)))),
+                data.draw(st.sampled_from([F(1), F(1, 2), F(3)])),
+            )
+            for _ in range(2)
+        )
+        assert (a.sort_key() < b.sort_key()) == (pruned_unit_key(a) < pruned_unit_key(b))
+
+    def test_unit_idele_equals_full_adele(self):
+        u = UnitIdele(FiniteAdele({3: F(1)}, DefaultSpec.rational(1)), F(2))
+        a = FullAdele(FiniteAdele({}, DefaultSpec.rational(1)), F(2))
+        assert u == a and a == u and hash(u) == hash(a)
+        assert a.finite_part != a

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from adelic.adele import (
     EXTENDED_PRIMES,
+    FINITE_PRIMES,
     DefaultSpec,
     FiniteAdele,
     PrimeSet,
@@ -145,6 +146,13 @@ class TestPcClosure:
     def test_rejects_units(self):
         with pytest.raises(MalformedDescriptor):
             pc_closure(SetDescriptor.of(UnitPoint(unit())))
+
+    def test_containment_stays_within_a_base(self):
+        closed = pc_closure(SetDescriptor.of(SingletonFamily(frozenset(), base=FINITE_PRIMES)))
+        assert closed_contains_atom(closed, PrimeSetPoint(fin(2)))
+        assert closed_contains_atom(closed, SingletonFamily(frozenset(), base=FINITE_PRIMES))
+        assert not closed_contains_atom(closed, PrimeSetPoint(ext(2)))
+        assert not closed_contains_atom(closed, SingletonFamily(frozenset(), base=EXTENDED_PRIMES))
 
 
 class TestPcDense:
@@ -365,6 +373,34 @@ class TestKuratowskiSpotChecks:
     def test_whole_space_absorbs(self):
         c = ClosedSetDescriptor(up_sets=(fin(2),))
         assert c.union(WHOLE_SPACE) == WHOLE_SPACE
+
+    def test_equal_units_keep_the_first_description(self):
+        plain, restated = unit(), unit(explicit={3: F(1)})
+        others = (unit(explicit={2: F(3)}), unit(F(1, 2)))
+        for first in (plain, restated):
+            second = restated if first is plain else plain
+            closed = ClosedSetDescriptor(unit_points=(others[0], first, others[1], second))
+            assert [repr(u) for u in closed.unit_points] == [
+                repr(first),
+                "UnitIdele(FiniteAdele({}, default=rational(1)), real=1/2)",
+                "UnitIdele(FiniteAdele({2: 3}, default=rational(1)), real=1)",
+            ]
+
+
+def test_values_are_set_members():
+    assert len({Character(Q_PLUS, {2: F(1, 2), 3: 0}), Character(Q_PLUS, {2: F(3, 2)})}) == 1
+    assert len({UnitPoint(unit()), UnitPoint(unit(explicit={5: F(1)})), UnitPoint(unit(2))}) == 2
+    points = {
+        ParameterPoint.of_unit(unit()),
+        ParameterPoint.of_unit(unit(explicit={7: F(1)})),
+        ParameterPoint.of_prime_set(ext(2)),
+        ParameterPoint.of_prime_set(ext(2)),
+    }
+    assert len(points) == 2
+    left = SetDescriptor.of(PrimeSetPoint(fin(2)), UnitPoint(unit()))
+    right = SetDescriptor.of(PrimeSetPoint(fin(2)), UnitPoint(unit(explicit={5: F(1)})))
+    assert left == right and len({left, right}) == 1
+    assert len({primcq_closure([fin(2)]), primcq_closure([fin(2), fin(2, 3)])}) == 1
 
 
 class TestSpecializationAntisymmetry:

@@ -379,6 +379,72 @@ class TestProgression:
             assert nbhd.contains(scale(r, a))
 
 
+def witness_or_error(a, nbhd):
+    try:
+        return approx_witness(a, nbhd)
+    except (Infeasible, ClosedOrbitMiss) as exc:
+        return type(exc)
+
+
+class TestWitnessDependsOnTheAdele:
+    """Equal descriptions of one adele get one witness."""
+
+    def test_restated_times_p_entries(self):
+        a = full({}, DefaultSpec.times_p(1), F(1))
+        b = full({2: F(2), 5: F(5)}, DefaultSpec.times_p(1), F(1))
+        assert a == b
+        for lo in range(1, 30):
+            for width in (F(1, 7), F(1, 100), F(1, 3000)):
+                nbhd = Neighbourhood({3: PadicBall(3, F(1), 2)}, real_interval=(F(lo), lo + width))
+                assert approx_witness(b, nbhd) == approx_witness(a, nbhd)
+        assert approx_witness(b, nbhd) == F(435439, 15015)
+
+    def test_entry_at_a_prime_of_the_default_rational_restates_nothing(self):
+        # the entry 1 = (1/2) * 2 at 2 is a unit there, not a multiple of 2,
+        # so 2 stays out of the Case II denominators
+        a = full({2: F(1)}, DefaultSpec.times_p(F(1, 2)), F(1))
+        nbhd = Neighbourhood({3: PadicBall(3, F(1), 2)}, real_interval=(F(29), 29 + F(1, 3000)))
+        assert approx_witness(a, nbhd) == F(7402399, 255255)
+
+    def test_oracle_draws_restated_primes(self):
+        # the zero at 19 takes the oracle's default primes up to 19, past
+        # the restated entry at 17
+        a = finite({19: F(0), 17: F(17)}, DefaultSpec.times_p(1))
+        b = finite({19: F(0)}, DefaultSpec.times_p(1))
+        nbhd = Neighbourhood({17: PadicBall(17, F(1), 1)})
+        assert a == b
+        assert witness_by_search(a, nbhd) == witness_by_search(b, nbhd) == F(1, 17)
+        assert approx_witness(a, nbhd) == approx_witness(b, nbhd) == F(1, 17)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_restated_entries_never_change_the_witness(self, data):
+        default = DefaultSpec.times_p(data.draw(st.sampled_from([F(1), F(-1), F(2), F(1, 3)])))
+        q = default.q
+        support = [p for p in (2, 3) if q.numerator % p == 0 or q.denominator % p == 0]
+        explicit = {p: data.draw(small_nonzero) for p in support}
+        free = [p for p in (2, 3, 5, 7, 11, 13) if p not in support]
+        restated = {p: default.value_at(p) for p in data.draw(st.sets(st.sampled_from(free)))}
+        real = data.draw(small_nonzero)
+        a = full(explicit, default, real)
+        b = full({**explicit, **restated}, default, real)
+        balls = {
+            p: PadicBall(p, center, e)
+            for p, (center, e) in data.draw(
+                st.dictionaries(
+                    st.sampled_from([2, 3, 5, 7]),
+                    st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=8), st.integers(-1, 3)),
+                    max_size=2,
+                )
+            ).items()
+        }
+        lo = data.draw(st.fractions(min_value=-40, max_value=40, max_denominator=6))
+        width = data.draw(st.sampled_from([F(1, 7), F(1, 100), F(1, 3000)]))
+        nbhd = Neighbourhood(balls, real_interval=(lo, lo + width))
+        assert a == b
+        assert witness_or_error(b, nbhd) == witness_or_error(a, nbhd)
+
+
 class TestWitnessAgainstBruteForce:
     """Small frozen instances cross-checked by an inline exhaustive scan."""
 

@@ -10,7 +10,7 @@ The archimedean coordinate of a full adele is an exact rational.
 Equality of adeles is semantic: two descriptions are equal when they have
 the same component at every place.  Equality and hashing go through one
 canonical key, ``sort_key``, that every description of an adele shares,
-and every answer, witnesses included, depends on the adele, not on its
+and witnesses, constructed or searched, depend on the adele, not on its
 description.  Values are immutable and operations are pure.
 """
 
@@ -159,7 +159,8 @@ class FiniteAdele:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteAdele):
             return NotImplemented
-        return self.sort_key() == other.sort_key()
+        # distinct default rules disagree at infinitely many primes
+        return self.default == other.default and self.sort_key() == other.sort_key()
 
     def __hash__(self):
         return hash(self.sort_key())
@@ -221,7 +222,7 @@ class FullAdele:
         # a UnitIdele equals an equal FullAdele
         if not isinstance(other, FullAdele):
             return NotImplemented
-        return self.sort_key() == other.sort_key()
+        return self.real_part == other.real_part and self.finite_part == other.finite_part
 
     def __hash__(self):
         return hash(self.sort_key())

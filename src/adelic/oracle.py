@@ -46,7 +46,7 @@ def _allowed_denominator_primes(a: Adele, budget: SearchBudget) -> List[Prime]:
     """Window primes plus the primes where scaling can absorb denominators."""
     fin = a.finite_part if isinstance(a, FullAdele) else a
     allowed = set(budget.prime_window)
-    allowed.update(p for p, v in fin.explicit.items() if v == 0)
+    allowed.update(p for p, v in fin.explicit.items() if v == 0 and not _governed_by_default(fin, p))
     if fin.default.kind in (ZERO, TIMES_P):
         # every default prime divides the adele; draw them up to the window bound
         bound = max(allowed, default=Prime(13))

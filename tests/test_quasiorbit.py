@@ -416,6 +416,35 @@ class TestWitnessDependsOnTheAdele:
         assert witness_by_search(a, nbhd) == witness_by_search(b, nbhd) == F(1, 17)
         assert approx_witness(a, nbhd) == approx_witness(b, nbhd) == F(1, 17)
 
+    def test_oracle_ignores_a_restated_zero(self):
+        # a zero at 19 restating a ZERO default must not raise the bound
+        # up to which the oracle draws default primes as denominators
+        a = finite({2: F(1), 3: F(1), 5: F(1), 19: F(0)}, DefaultSpec.zero())
+        b = finite({2: F(1), 3: F(1), 5: F(1)}, DefaultSpec.zero())
+        nbhd = Neighbourhood({p: PadicBall(p, F(1, 17), 4) for p in (2, 3, 5)})
+        assert a == b
+        assert witness_by_search(a, nbhd) == witness_by_search(b, nbhd)
+        assert approx_witness(a, nbhd) == approx_witness(b, nbhd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_restated_entries_never_change_the_search(self, data):
+        default = data.draw(st.sampled_from([DefaultSpec.zero(), DefaultSpec.times_p(1)]))
+        explicit = {p: data.draw(st.sampled_from([F(1), F(-1), F(5), F(1, 7)])) for p in (2, 3)}
+        restated = {
+            p: default.value_at(p) for p in data.draw(st.sets(st.sampled_from([7, 11, 13, 17, 19, 23])))
+        }
+        a = finite(explicit, default)
+        b = finite({**explicit, **restated}, default)
+        # a center with a large prime denominator that only the default
+        # primes the oracle draws can reach
+        center = F(data.draw(st.sampled_from([1, -1, 2, 3])), data.draw(st.sampled_from([17, 19, 23])))
+        exponent = data.draw(st.integers(2, 4))
+        nbhd = Neighbourhood({p: PadicBall(p, center, exponent) for p in (2, 3)})
+        budget = SearchBudget(height_bound=60)
+        assert a == b
+        assert witness_by_search(b, nbhd, budget) == witness_by_search(a, nbhd, budget)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_restated_entries_never_change_the_witness(self, data):

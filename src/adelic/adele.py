@@ -3,8 +3,8 @@
 An adele is stored as a finite map of explicit rational components plus a
 default rule covering every other prime.  Three default rules suffice for
 the whole library: ZERO (the component vanishes), RATIONAL(q) (the
-component is q, a unit at every default prime) and TIMES_P(q) (the
-component at the default prime p is q*p, so p divides the adele there).
+component is q) and TIMES_P(q) (the component at the default prime p is
+q*p, so p divides the adele there).
 The archimedean coordinate of a full adele is an exact rational.
 
 Equality of adeles is semantic: two descriptions are equal when they have
@@ -33,6 +33,7 @@ from .padic import (
     expand,
     extended_prime_key,
     is_infinite_place,
+    prime_factors,
     primes_dividing,
     valuation,
 )
@@ -86,6 +87,15 @@ class DefaultSpec:
         return self.q * p
 
 
+def _strip(n: int, primes: Iterable) -> int:
+    """|n| with every power of the given primes divided out."""
+    n = abs(n)
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 def _normalize_explicit(explicit) -> Dict[Prime, Fraction]:
     out = {}
     for p, v in dict(explicit).items():
@@ -100,11 +110,14 @@ def _normalize_explicit(explicit) -> Dict[Prime, Fraction]:
 class FiniteAdele:
     """An element of the restricted product of the p-adic fields.
 
-    Invariant: every prime dividing the default rational appears among
-    the explicit keys, so the component at each default prime is a unit
-    (RATIONAL) or has valuation exactly one (TIMES_P).  Only explicit
-    primes can carry a negative valuation, which keeps the element inside
-    the restricted product.
+    Invariant: every prime dividing the denominator of the default
+    rational appears among the explicit keys, so the component at each
+    non-explicit prime is integral.  Only explicit primes can carry a
+    negative valuation, which keeps the element inside the restricted
+    product.  Primes of the numerator may stay implicit, since the
+    restricted product bounds denominators only; checking the invariant
+    divides the explicit primes out of the denominator and factors
+    nothing.
     """
 
     explicit: Dict[Prime, Fraction]
@@ -115,17 +128,18 @@ class FiniteAdele:
         if not isinstance(self.default, DefaultSpec):
             raise ValueError("default must be a DefaultSpec")
         if self.default.kind != ZERO:
-            missing = [p for p in primes_dividing(self.default.q) if p not in self.explicit]
-            if missing:
+            cofactor = _strip(self.default.q.denominator, self.explicit)
+            if cofactor != 1:
                 raise ValueError(
-                    f"default rational {self.default.q} has support {sorted(map(int, missing))} "
+                    f"default rational {self.default.q} has denominator cofactor {cofactor} "
                     "outside the explicit map"
                 )
 
     @classmethod
     def _trusted(cls, explicit: Dict[Prime, Fraction], default: DefaultSpec) -> "FiniteAdele":
         # internal fast path for callers that maintain the invariants
-        # themselves (scaling never breaks them); skips re-factoring
+        # themselves (scaling never breaks them); skips re-checking the
+        # default's denominator
         obj = object.__new__(cls)
         object.__setattr__(obj, "explicit", dict(sorted(explicit.items())))
         object.__setattr__(obj, "default", default)
@@ -172,16 +186,14 @@ class FiniteAdele:
 
 
 def _governed_by_default(fin: FiniteAdele, p: Prime) -> bool:
-    """Whether p is not explicit, or its entry restates the default rule
-    and p divides neither term of the default rational: a property of the
-    adele, not of its description."""
-    v = fin.explicit.get(p)
-    if v is None:
-        return True
+    """Whether p divides neither term of the default rational and is not
+    explicit or has an entry restating the default rule: a property of
+    the adele, not of its description."""
     q = fin.default.q
-    return v == fin.default.value_at(p) and (
-        q is None or (q.numerator % p != 0 and q.denominator % p != 0)
-    )
+    if q is not None and (q.numerator % p == 0 or q.denominator % p == 0):
+        return False
+    v = fin.explicit.get(p)
+    return v is None or v == fin.default.value_at(p)
 
 
 @dataclass(frozen=True)
@@ -247,6 +259,10 @@ class UnitIdele(FullAdele):
         for p, v in self.explicit.items():
             if valuation(v, p) != 0:
                 raise ValueError(f"component {v} at p={int(p)} is not a unit")
+        if _strip(self.default.q.numerator, self.explicit) != 1:
+            raise ValueError(
+                f"default rational {self.default.q} is not a unit outside the explicit map"
+            )
 
     def __repr__(self) -> str:
         return f"UnitIdele({self.finite_part!r}, real={self.real_part})"
@@ -405,8 +421,10 @@ def embed_rational(q: Rational, kind: str = "finite") -> Adele:
 def scale(r: Rational, a: Adele) -> Adele:
     """Multiply an adele by a nonzero rational, componentwise at every place.
 
-    Primes dividing r migrate into the explicit map so the default-rule
-    invariant survives.
+    Primes of the new default rational's denominator that are not yet
+    explicit migrate into the explicit map, so the default-rule invariant
+    survives.  Only that cofactor is ever factored, never the numerator
+    of r.
     """
     r = Fraction(r)
     if r == 0:
@@ -418,15 +436,13 @@ def scale(r: Rational, a: Adele) -> Adele:
 
 def _scale_finite(r: Fraction, a: FiniteAdele) -> FiniteAdele:
     explicit = {p: v * r for p, v in a.explicit.items()}
-    for p in primes_dividing(r):
-        if p not in explicit:
-            explicit[p] = a.default.value_at(p) * r
     if a.default.kind == ZERO:
-        default = a.default
-    else:
-        default = DefaultSpec(a.default.kind, a.default.q * r)
-    # the support of q*r sits inside the old support plus the primes of r,
-    # all of which are explicit now, so the invariant holds by construction
+        return FiniteAdele._trusted(explicit, a.default)
+    default = DefaultSpec(a.default.kind, a.default.q * r)
+    cofactor = _strip(default.q.denominator, explicit)
+    if cofactor > 1:
+        for p in prime_factors(cofactor):
+            explicit[p] = a.default.value_at(p) * r
     return FiniteAdele._trusted(explicit, default)
 
 
@@ -483,12 +499,14 @@ def is_invertible(a: FullAdele) -> bool:
 def absolute_value(a: FullAdele) -> Fraction:
     """The product of the normalized absolute values over all places.
 
-    Vanishes exactly on the noninvertible adeles; for an invertible adele
-    only the explicit primes contribute factors different from one.
+    Vanishes exactly on the noninvertible adeles.  For an invertible adele
+    the product formula gives |a_oo| * prod p^-v_p(a_p) / q' over the
+    explicit primes, where q' is the numerator of the default rational
+    with the explicit primes divided out; no factoring is needed.
     """
     if not is_invertible(a):
         return Fraction(0)
-    result = abs(a.real_part)
+    result = abs(a.real_part) / _strip(a.default.q.numerator, a.explicit)
     for p, v in a.explicit.items():
         result *= Fraction(p) ** -valuation(v, p)
     return result
@@ -517,12 +535,14 @@ def xi_partial(a: FullAdele, primes: Iterable) -> Fraction:
 def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     """Split an invertible adele as r * u with r rational and u a unit idele.
 
-    r collects the sign of the real part and the prime powers p^v_p(a);
-    the factorization is unique.
+    r is sign * q' * prod p^v_p(a_p) over the explicit primes: the sign of
+    the real part, the numerator q' of the default rational with the
+    explicit primes divided out, and the explicit prime powers.  The
+    factorization is unique.
     """
     if not isinstance(a, FullAdele) or not is_invertible(a):
         raise NotInvertible("only invertible full adeles factor through the units")
-    r = Fraction(1 if a.real_part > 0 else -1)
+    r = Fraction((1 if a.real_part > 0 else -1) * _strip(a.default.q.numerator, a.explicit))
     for p, v in a.explicit.items():
         r *= Fraction(p) ** valuation(v, p)
     u = scale(1 / r, a)

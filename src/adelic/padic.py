@@ -109,7 +109,7 @@ def iter_primes(start: int = 2) -> Iterator[Prime]:
     n = max(2, start)
     while True:
         if is_prime(n):
-            yield Prime(n)
+            yield int.__new__(Prime, n)  # proven prime just now: skip Prime's own test
         n += 1
 
 

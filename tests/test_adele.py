@@ -46,6 +46,13 @@ class TestConstruction:
             finite({}, DefaultSpec.rational(F(1, 3)))
         finite({Prime(3): F(1, 3)}, DefaultSpec.rational(F(1, 3)))  # fine
 
+    def test_only_the_default_denominator_must_be_explicit(self):
+        with pytest.raises(ValueError, match="denominator cofactor 15"):
+            finite({2: F(1)}, DefaultSpec.times_p(F(7, 60)))
+        a = finite({}, DefaultSpec.rational(2))
+        assert a.component(2) == 2 and a.component(5) == 2
+        assert a == finite({2: F(2)}, DefaultSpec.rational(2))
+
     def test_times_p_component(self):
         a = finite({}, DefaultSpec.times_p(1))
         assert a.component(7) == 7
@@ -72,6 +79,10 @@ class TestConstruction:
             UnitIdele(FiniteAdele({}, DefaultSpec.rational(1)), F(-1))
         with pytest.raises(ValueError):
             UnitIdele(FiniteAdele({}, DefaultSpec.zero()), F(1))
+        # 2 is no unit at 2, explicit or not
+        with pytest.raises(ValueError):
+            UnitIdele(FiniteAdele({}, DefaultSpec.rational(2)), F(1))
+        UnitIdele(FiniteAdele({2: F(1)}, DefaultSpec.rational(2)), F(1))
 
 
 class TestEmbed:
@@ -304,7 +315,7 @@ def descriptions(draw, default=None):
     explicit = {}
     for p in PRIMES:
         choice = draw(st.sampled_from(["absent", "restated", "other"]))
-        if choice == "absent" and (q is None or (q.numerator % p and q.denominator % p)):
+        if choice == "absent" and (q is None or q.denominator % p):
             continue
         if choice == "other":
             explicit[p] = draw(st.sampled_from([F(0), F(1), F(p), F(1, p), F(-2)]))

@@ -70,6 +70,11 @@ class TestBasicCommands:
         code, doc2 = invoke(capsys, "abs", "--adele", json.dumps(doc["unit"]))
         assert code == 0 and doc2 == {"abs": "1"}
 
+    def test_abs_with_numerator_prime_left_to_the_default(self, capsys):
+        adele = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "2"}, "real": "1"})
+        code, doc = invoke(capsys, "abs", "--adele", adele)
+        assert code == 0 and doc == {"abs": "1/2"}
+
     def test_isotropy(self, capsys):
         zero = json.dumps({"explicit": {}, "default": {"kind": "zero"}})
         code, doc = invoke(capsys, "isotropy", "--adele", zero)

@@ -1,10 +1,12 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic import adele, jsonio, padic
 from adelic.adele import (
     DefaultSpec,
     FiniteAdele,
@@ -12,12 +14,14 @@ from adelic.adele import (
     Neighbourhood,
     PrimeSet,
     UnitIdele,
+    absolute_value,
     embed_rational,
     factor_idele,
+    is_invertible,
     scale,
     zero_set,
 )
-from adelic.errors import ClosedOrbitMiss, Infeasible, NotIntegral
+from adelic.errors import ClosedOrbitMiss, Infeasible, NotIntegral, NotInvertible
 from adelic.oracle import SearchBudget, witness_by_search
 from adelic.padic import INFINITY, PadicBall, Prime, valuation
 from adelic.quasiorbit import (
@@ -566,3 +570,155 @@ class TestDensityCriterion:
             nbhd = Neighbourhood(balls)
             r = approx_witness(a, nbhd)
             assert nbhd.contains(scale(r, a))
+
+
+# Case II grows the denominator through the default primes, and the
+# witness numerator holds a prime far too large to trial-divide.
+REPRO_ADELE = full({}, DefaultSpec.times_p(1), F(1))
+REPRO_NBHD = Neighbourhood({3: PadicBall(3, F(2), 22)}, real_interval=(F(5), 5 + F(1, 10**6)))
+
+
+def small_primes(bound):
+    return [p for p in range(2, bound) if all(p % d for d in range(2, p))]
+
+
+def recording_prime_factors(monkeypatch):
+    """Wrap prime_factors wherever the library binds it; return the list
+    its arguments are recorded in."""
+    calls = []
+    original = padic.prime_factors
+
+    def recorded(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(padic, "prime_factors", recorded)
+    monkeypatch.setattr(adele, "prime_factors", recorded)
+    return calls
+
+
+class TestFactorFreeVerification:
+    """Checking a witness never trial-divides its numerator."""
+
+    def test_deadline_guard_fires(self, deadline):
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("no SIGALRM on this platform")
+        with pytest.raises(pytest.fail.Exception):
+            with deadline(0.05):
+                while True:
+                    pass
+
+    def test_repro_witness_is_sound(self, deadline):
+        with deadline(2):
+            r = approx_witness(REPRO_ADELE, REPRO_NBHD)
+        # r * a_p = r * p at every prime: the ball at 3, integral elsewhere
+        x = 3 * r - 2
+        assert x.numerator % 3**22 == 0 and x.denominator % 3 != 0
+        assert math.prod(small_primes(200)) % r.denominator == 0  # squarefree
+        assert 5 < r < 5 + F(1, 10**6)
+
+    def test_repro_never_factors_the_numerator(self, deadline, monkeypatch):
+        calls = recording_prime_factors(monkeypatch)
+        with deadline(2):
+            r = approx_witness(REPRO_ADELE, REPRO_NBHD)
+        assert r.numerator not in calls
+        assert all(r.denominator % n == 0 for n in calls)
+
+    def test_parsing_never_factors(self, deadline, monkeypatch):
+        calls = recording_prime_factors(monkeypatch)
+        q = 2**61 - 1  # a 61-bit prime
+        doc = {"explicit": {}, "default": {"kind": "rational", "q": str(q)}, "real": "1"}
+        with deadline(2):
+            a = jsonio.parse_adele(doc)
+        assert a.default == DefaultSpec.rational(q) and a.explicit == {}
+        assert calls == []
+
+
+NUMERATOR_PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def implicit_and_listed(draw):
+    """Two descriptions of one adele with a RATIONAL or TIMES_P default:
+    one leaves the primes of the default's numerator to the rule, the
+    other lists each of them."""
+    kind = draw(st.sampled_from(["rational", "times_p"]))
+    numerator = draw(st.sampled_from([1, 2, 3, 6, 10, 15, 35, 12, 49]))
+    denominator = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    q = F(draw(st.sampled_from([1, -1])) * numerator, denominator)
+    default = DefaultSpec(kind, q)
+    explicit = {p: q * (p if kind == "times_p" else 1) for p in NUMERATOR_PRIMES if denominator % p == 0}
+    for p in draw(st.sets(st.sampled_from(NUMERATOR_PRIMES + (11, 13)), max_size=2)):
+        explicit[p] = draw(st.sampled_from([F(0), F(1), F(p), F(1, p), F(-2)]))
+    listed = {p: default.value_at(p) for p in NUMERATOR_PRIMES if q.numerator % p == 0}
+    a = FiniteAdele(explicit, default)
+    b = FiniteAdele({**listed, **explicit}, default)
+    if draw(st.booleans()):
+        real = draw(small_nonzero)
+        a, b = FullAdele(a, real), FullAdele(b, real)
+    return a, b
+
+
+@st.composite
+def neighbourhoods(draw, full):
+    balls = {
+        p: PadicBall(p, center, e)
+        for p, (center, e) in draw(
+            st.dictionaries(
+                st.sampled_from([2, 3, 5, 7, 11]),
+                st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=8), st.integers(-1, 3)),
+                max_size=2,
+            )
+        ).items()
+    }
+    if not full:
+        return Neighbourhood(balls)
+    lo = draw(st.fractions(min_value=-40, max_value=40, max_denominator=6))
+    width = draw(st.sampled_from([F(1, 7), F(1, 100), F(1, 3000), F(50)]))
+    return Neighbourhood(balls, real_interval=(lo, lo + width))
+
+
+def factor_or_error(a):
+    try:
+        return factor_idele(a)
+    except NotInvertible:
+        return NotInvertible
+
+
+class TestNumeratorPrimesLeftToTheRule:
+    """Numerator primes of the default need no explicit entry: a
+    description leaving them to the rule answers like one listing them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(implicit_and_listed(), st.data())
+    def test_same_answers(self, pair, data):
+        a, b = pair
+        assert a == b and hash(a) == hash(b)
+        assert zero_set(a) == zero_set(b)
+        full_adele = isinstance(a, FullAdele)
+        if full_adele:
+            assert absolute_value(a) == absolute_value(b)
+            assert factor_or_error(a) == factor_or_error(b)
+            assert chi(a) == chi(b)
+        nbhd = data.draw(neighbourhoods(full_adele))
+        r = witness_or_error(a, nbhd)
+        assert r == witness_or_error(b, nbhd)
+        if isinstance(r, Fraction):
+            assert nbhd.contains(scale(r, a)) and nbhd.contains(scale(r, b))
+
+    def test_rational_two(self):
+        a = full({}, DefaultSpec.rational(2), F(1))
+        b = full({2: F(2)}, DefaultSpec.rational(2), F(1))
+        assert is_invertible(a) and a == b
+        assert absolute_value(a) == absolute_value(b) == F(1, 2)
+        half = UnitIdele(FiniteAdele({}, DefaultSpec.rational(1)), F(1, 2))
+        assert factor_idele(a) == factor_idele(b) == (F(2), half)
+
+    def test_scaling_adds_no_numerator_entries(self):
+        a = scale(F(35, 4), finite({2: F(1)}, DefaultSpec.rational(1)))
+        assert a.explicit == {2: F(35, 4)} and a.default == DefaultSpec.rational(F(35, 4))
+        z = scale(F(35, 4), finite({2: F(1)}, DefaultSpec.zero()))
+        assert z.explicit == {2: F(35, 4)}
+        # the denominator's primes outside the explicit map become explicit
+        c = scale(F(5, 12), finite({2: F(1)}, DefaultSpec.times_p(1)))
+        assert c.explicit == {2: F(5, 12), 3: F(5, 4)}

@@ -8,10 +8,11 @@ test suite uses them to cross-check the constructive algorithms.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import Iterable, List, Optional
+from math import gcd
+from typing import Iterable, Iterator, List, Optional
 
 from .adele import Adele, FullAdele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
 from .adele import _check_kind, _governed_by_default
@@ -83,12 +84,16 @@ def witness_by_search(
     ones; the first member of the neighbourhood wins.  Returns None when
     no candidate of admissible height works.
 
-    Two honest shortcuts keep this tractable without changing the answer:
-    constraints that do not depend on r are evaluated once up front, and
-    for full adeles with a nonzero real coordinate the numerator range per
-    denominator is clipped to the real interval, outside which membership
-    is impossible; the surviving candidates are still verified in height
-    order.
+    The scan is lazy: each (denominator, sign) pair streams its reduced
+    fractions in key order (height, numerator, denominator, + before -)
+    and ``heapq.merge`` interleaves the streams, so a candidate is built
+    only when every candidate before it has failed.  Two honest shortcuts
+    keep this tractable without changing the answer: constraints that do
+    not depend on r are evaluated once up front, and for full adeles with
+    a nonzero real coordinate each stream's numerator range is clipped,
+    by integer floor division, to the real interval, outside which
+    membership is impossible; a stream with an empty range is never
+    built.
     """
     full = _check_kind(a, nbhd)
 
@@ -104,58 +109,31 @@ def witness_by_search(
     denominators = _smooth_denominators(
         _allowed_denominator_primes(a, budget), budget.height_bound, budget.precision
     )
-
-    if full and a.real_part != 0:
-        return _search_interval_clipped(a, nbhd, budget, denominators)
-    return _search_by_height(a, nbhd, budget, denominators, full)
-
-
-def _search_by_height(a, nbhd, budget, denominators, full) -> Optional[Fraction]:
-    den_set = set(denominators)
-    signs = (1, -1) if full else (1,)
-    for height in range(1, budget.height_bound + 1):
-        if height in den_set:
-            for n in range(1, height):
-                if gcd(n, height) == 1:
-                    for sign in signs:
-                        r = Fraction(sign * n, height)
-                        if nbhd.contains(scale(r, a)):
-                            return r
+    clipped = full and a.real_part != 0
+    streams = []
+    for sign in (1, -1) if full else (1,):
+        if clipped:
+            # r * a_oo in (lo, hi) puts n / d in (x, y), so n in (x * d, y * d)
+            x, y = sorted(end / (sign * a.real_part) for end in nbhd.real_interval)
         for d in denominators:
-            if d > height:
-                break
-            if d == height:  # height/height reduces to 1, seen at height one
-                if height == 1:
-                    for sign in signs:
-                        r = Fraction(sign, 1)
-                        if nbhd.contains(scale(r, a)):
-                            return r
-                continue
-            if gcd(height, d) == 1:
-                for sign in signs:
-                    r = Fraction(sign * height, d)
-                    if nbhd.contains(scale(r, a)):
-                        return r
-    return None
-
-
-def _search_interval_clipped(a, nbhd, budget, denominators) -> Optional[Fraction]:
-    """Height-ordered scan of the candidates the real interval admits."""
-    lo, hi = nbhd.real_interval
-    candidates = []
-    for d in denominators:
-        for sign in (1, -1):
-            x, y = sorted((lo * d / (sign * a.real_part), hi * d / (sign * a.real_part)))
-            first = max(1, floor(x) + 1)
-            last = min(budget.height_bound, ceil(y) - 1)
-            for n in range(first, last + 1):
-                if gcd(n, d) == 1:
-                    candidates.append((max(n, d), n, d, 0 if sign > 0 else 1))
-    for _, n, d, neg in sorted(candidates):
-        r = Fraction(-n if neg else n, d)
+            first, last = 1, budget.height_bound
+            if clipped:
+                first = max(first, x.numerator * d // x.denominator + 1)
+                last = min(last, -(-y.numerator * d // y.denominator) - 1)
+            if first <= last:
+                streams.append(_reduced_fractions(d, sign < 0, first, last))
+    for _, n, d, negative in heapq.merge(*streams):
+        r = Fraction(-n if negative else n, d)
         if nbhd.contains(scale(r, a)):
             return r
     return None
+
+
+def _reduced_fractions(d: int, negative: bool, first: int, last: int) -> Iterator[tuple]:
+    """The reduced n / d with first <= n <= last, keyed in search order."""
+    for n in range(first, last + 1):
+        if gcd(n, d) == 1:
+            yield (max(n, d), n, d, negative)
 
 
 def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSet]:

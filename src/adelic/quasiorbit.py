@@ -132,7 +132,9 @@ def exact_orbit_witness(a: Adele, b: Adele) -> Optional[Fraction]:
 
     Unique for a != 0.  For finite adeles only positive witnesses count
     (the acting group is the positive rationals); full adeles admit both
-    signs.
+    signs.  The candidate is checked place by place without building r*a,
+    so nothing is factored: the real parts, the default rules, and the
+    components at the primes explicit in a or b.
     """
     full = _require_same_kind(a, b)
     candidate = None
@@ -157,7 +159,20 @@ def exact_orbit_witness(a: Adele, b: Adele) -> Optional[Fraction]:
         return None
     if not full and candidate <= 0:
         return None
-    return candidate if scale(candidate, a) == b else None
+    return candidate if _scales_to(candidate, a, b) else None
+
+
+def _scales_to(r: Fraction, a: Adele, b: Adele) -> bool:
+    """Whether scale(r, a) == b.  Off the explicit primes of a and b both
+    components follow the default rules, which agree after scaling exactly
+    when their kinds match and r * q_a == q_b."""
+    if isinstance(a, FullAdele):
+        if r * a.real_part != b.real_part:
+            return False
+        a, b = a.finite_part, b.finite_part
+    if a.default.kind != b.default.kind or (a.default.kind != ZERO and r * a.default.q != b.default.q):
+        return False
+    return all(r * a.component(p) == b.component(p) for p in a.explicit.keys() | b.explicit.keys())
 
 
 def is_zero_divisor(a: FiniteAdele) -> bool:
@@ -264,7 +279,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         lo, hi = nbhd.real_interval
         modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
         modulus *= math.prod(m for _, m in extra_congruences)
-        threshold = abs(a.real_part) * modulus / ((hi - lo) * denominator_core)
+        # tail_factor is an integer, so comparing it with the floor is exact
+        threshold = math.floor(abs(a.real_part) * modulus / ((hi - lo) * denominator_core))
         case_one_prime = _smallest_vanishing_finite_prime(fin)
         if case_one_prime is not None:
             while tail_factor <= threshold:

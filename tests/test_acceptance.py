@@ -336,21 +336,24 @@ def _separate(rng: random.Random, u: UnitIdele) -> Neighbourhood:
 
 
 class TestCriterion04OracleAgreement:
-    def test_agreement(self):
+    def test_agreement(self, deadline):
         rng = random.Random(SEED + 4)
         # a deep exponent cap makes every window-smooth denominator below
         # the height bound admissible, so the search space is height-complete
         budget = SearchBudget(height_bound=10**4, precision=13)
-        for a, nbhd in _oracle_instances(rng):
-            try:
-                built = approx_witness(a, nbhd)
-            except (Infeasible, ClosedOrbitMiss):
-                built = None
-            found = witness_by_search(a, nbhd, budget)
-            assert (built is None) == (found is None)
-            if built is not None:
-                assert nbhd.contains(scale(built, a))
-                assert nbhd.contains(scale(found, a))
+        # the lazy search answers in about a second; an enumerator that
+        # builds and sorts every candidate before testing one takes over 20 s
+        with deadline(10):
+            for a, nbhd in _oracle_instances(rng):
+                try:
+                    built = approx_witness(a, nbhd)
+                except (Infeasible, ClosedOrbitMiss):
+                    built = None
+                found = witness_by_search(a, nbhd, budget)
+                assert (built is None) == (found is None)
+                if built is not None:
+                    assert nbhd.contains(scale(built, a))
+                    assert nbhd.contains(scale(found, a))
         _report(4, "oracle agreement")
 
 

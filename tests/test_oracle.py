@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic.adele import (
     DefaultSpec,
@@ -13,7 +16,7 @@ from adelic.adele import (
 )
 from adelic.errors import ClosedOrbitMiss, Infeasible
 from adelic.oracle import SearchBudget, window_closure, witness_by_search
-from adelic.padic import INFINITY, PadicBall, Prime
+from adelic.padic import INFINITY, PadicBall, Prime, is_prime
 from adelic.quasiorbit import approx_witness
 
 F = Fraction
@@ -58,6 +61,67 @@ class TestWitnessSearch:
             witness_by_search(embed_rational(1, kind="full"), Neighbourhood({}))
         with pytest.raises(ValueError):
             witness_by_search(embed_rational(1), Neighbourhood({}, real_interval=(F(0), F(1))))
+
+
+PLACES = [2, 3, 5, 7]
+small = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@st.composite
+def search_instances(draw):
+    """A finite adele, or a full one with a zero or a nonzero real part of
+    either sign, under any default kind, with a height bound <= 60."""
+    kind = draw(st.sampled_from(["rational", "zero", "times_p"]))
+    q = None if kind == "zero" else F(draw(st.sampled_from([1, -1, 2, 3, -6])))
+    a = finite(draw(st.dictionaries(st.sampled_from(PLACES), small, max_size=2)), DefaultSpec(kind, q))
+    balls = {
+        p: PadicBall(p, center, e)
+        for p, (center, e) in draw(
+            st.dictionaries(st.sampled_from(PLACES), st.tuples(small, st.integers(-1, 3)), max_size=2)
+        ).items()
+    }
+    height = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["finite", "zero real part", "clipped"]))
+    if shape == "finite":
+        return a, Neighbourhood(balls), height
+    real = F(0) if shape == "zero real part" else draw(small.filter(lambda x: x != 0))
+    # an interval near t * real for a small t, so that it often holds candidates
+    lo = draw(small) * real - draw(st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8))
+    width = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8))
+    return FullAdele(a, real), Neighbourhood(balls, real_interval=(lo, lo + width)), height
+
+
+def first_member_by_height(a, nbhd, height):
+    """The reference order: every reduced +-n/d of height at most the bound,
+    sorted by (height, numerator, denominator, + before -)."""
+    full = isinstance(a, FullAdele)
+    keys = sorted(
+        (max(n, d), n, d, sign < 0)
+        for n in range(1, height + 1)
+        for d in range(1, height + 1)
+        if gcd(n, d) == 1
+        for sign in ((1, -1) if full else (1,))
+    )
+    for _, n, d, negative in keys:
+        r = F(-n if negative else n, d)
+        # the real coordinate first, the cheap half of membership
+        if full and not nbhd.real_interval[0] < r * a.real_part < nbhd.real_interval[1]:
+            continue
+        if nbhd.contains(scale(r, a)):
+            return r
+    return None
+
+
+class TestSearchOrder:
+    @settings(deadline=None)
+    @given(search_instances())
+    def test_first_member_in_height_order(self, instance):
+        a, nbhd, height = instance
+        # every prime up to the bound, each to an exponent reaching past
+        # it: every denominator of height at most the bound is admissible
+        window = frozenset(p for p in range(2, height + 1) if is_prime(p))
+        budget = SearchBudget(height_bound=height, prime_window=window, precision=height.bit_length())
+        assert witness_by_search(a, nbhd, budget) == first_member_by_height(a, nbhd, height)
 
 
 class TestOracleAgainstConstruction:

@@ -176,6 +176,11 @@ class TestExactWitness:
         b = finite({}, DefaultSpec.times_p(1))
         assert exact_orbit_witness(a, b) is None
 
+    def test_mismatched_real_parts(self):
+        # with a zero real part the candidate 1 comes from the prime 2
+        a = full({2: F(3)}, DefaultSpec.rational(1), F(0))
+        assert exact_orbit_witness(a, full({2: F(3)}, DefaultSpec.rational(1), F(1))) is None
+
     @given(small_nonzero)
     def test_uniqueness_roundtrip(self, r):
         a = full({2: F(0), 5: F(5)}, DefaultSpec.rational(5), F(2))
@@ -368,7 +373,7 @@ class TestProgression:
         nbhd = Neighbourhood({}, real_interval=(F(-1, 2), F(1, 2)))
         assert approx_witness(a, nbhd) == F(-1, 3)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(small_closed_instances())
     def test_closed_orbit_matches_scan_and_oracle(self, instance):
         a, nbhd = instance
@@ -632,6 +637,19 @@ class TestFactorFreeVerification:
             a = jsonio.parse_adele(doc)
         assert a.default == DefaultSpec.rational(q) and a.explicit == {}
         assert calls == []
+
+    def test_orbit_equality_never_factors(self, deadline):
+        # the candidate 1/P puts the 61-bit prime P into the default's
+        # denominator, where building P^-1 * a would have to factor it
+        P = next(padic.iter_primes(2**60))
+        a = full({}, DefaultSpec.rational(1), P)
+        b = full({}, DefaultSpec.rational(1), 1)
+        c = full({P: F(1, P)}, DefaultSpec.rational(F(1, P)), 1)
+        with deadline(1):
+            assert exact_orbit_witness(a, b) is None
+            assert not orbit_closure_contains(a, b)
+            assert not same_quasi_orbit(a, b)
+            assert exact_orbit_witness(a, c) == F(1, P)
 
 
 NUMERATOR_PRIMES = (2, 3, 5, 7)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .adele import Adele, FullAdele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
 from .adele import _check_kind, _governed_by_default
-from .padic import Prime, extended_prime_key, is_infinite_place, iter_primes
+from .padic import Prime, extended_prime_key, is_infinite_place, iter_primes, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
 
@@ -87,24 +87,28 @@ def witness_by_search(
     The scan is lazy: each (denominator, sign) pair streams its reduced
     fractions in key order (height, numerator, denominator, + before -)
     and ``heapq.merge`` interleaves the streams, so a candidate is built
-    only when every candidate before it has failed.  Two honest shortcuts
-    keep this tractable without changing the answer: constraints that do
-    not depend on r are evaluated once up front, and for full adeles with
-    a nonzero real coordinate each stream's numerator range is clipped,
-    by integer floor division, to the real interval, outside which
-    membership is impossible; a stream with an empty range is never
-    built.
+    only when every candidate before it has failed.  Shortcuts that keep
+    the answer: constraints independent of r are checked once up front; a
+    nonzero real coordinate clips each stream's numerator range to the
+    real interval by integer floor division (an empty range builds no
+    stream); only candidates every ball admits, tested in integers on
+    r * a_p, reach ``nbhd.contains(scale(r, a))``.
     """
     full = _check_kind(a, nbhd)
 
-    # constraints independent of r: a vanishing coordinate never moves
+    # A ball admits r = m / d iff p ** (radius + v_p(B*D) + v_p(d)), when > 1,
+    # divides m*A*D - d*B*C, the numerator of r * a_p - C / D over d*B*D, for
+    # a_p = A / B and centre C / D.  gcd(d, p ** bits) is p ** v_p(d).
+    bits, balls = budget.height_bound.bit_length(), []
     for p, ball in nbhd.balls.items():
-        if a.component(p) == 0 and not ball.contains(0):
+        (A, B), (C, D) = a.component(p).as_integer_ratio(), ball.center.as_integer_ratio()
+        k = ball.radius_exponent + valuation(B * D, p)
+        if A:
+            balls.append((p ** bits, p ** max(k, 0), p ** max(-k, 0), A * D, B * C))
+        elif not ball.contains(0):  # a vanishing coordinate never moves
             return None
-    if full and a.real_part == 0:
-        lo, hi = nbhd.real_interval
-        if not lo < 0 < hi:
-            return None
+    if full and a.real_part == 0 and not nbhd.real_interval[0] < 0 < nbhd.real_interval[1]:
+        return None
 
     denominators = _smooth_denominators(
         _allowed_denominator_primes(a, budget), budget.height_bound, budget.precision
@@ -123,9 +127,10 @@ def witness_by_search(
             if first <= last:
                 streams.append(_reduced_fractions(d, sign < 0, first, last))
     for _, n, d, negative in heapq.merge(*streams):
-        r = Fraction(-n if negative else n, d)
-        if nbhd.contains(scale(r, a)):
-            return r
+        m = -n if negative else n
+        admitted = not any((m * ad - d * bc) % max(1, gcd(d, big) * up // down) for big, up, down, ad, bc in balls)
+        if admitted and nbhd.contains(scale(Fraction(m, d), a)):
+            return Fraction(m, d)
     return None
 
 

@@ -56,6 +56,12 @@ class TestWitnessSearch:
         assert r is not None
         assert nbhd.contains(scale(r, a))
 
+    def test_ball_of_negative_radius_admits_its_denominators(self):
+        # v_2(1/2) = -1 meets the radius -1, so 1/2 is the first member
+        a = embed_rational(1)
+        nbhd = Neighbourhood({2: PadicBall(2, F(0), -1), 3: PadicBall(3, F(1, 2), 2)})
+        assert witness_by_search(a, nbhd, SearchBudget(height_bound=10)) == F(1, 2)
+
     def test_kind_discipline(self):
         with pytest.raises(ValueError):
             witness_by_search(embed_rational(1, kind="full"), Neighbourhood({}))

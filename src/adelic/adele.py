@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import (
     InfinityOnFiniteAdele,
@@ -33,6 +33,7 @@ from .padic import (
     expand,
     extended_prime_key,
     is_infinite_place,
+    iter_primes,
     prime_factors,
     primes_dividing,
     valuation,
@@ -194,6 +195,11 @@ def _governed_by_default(fin: FiniteAdele, p: Prime) -> bool:
         return False
     v = fin.explicit.get(p)
     return v is None or v == fin.default.value_at(p)
+
+
+def _default_primes(fin: FiniteAdele, skip=frozenset()) -> Iterator[Prime]:
+    """The primes governed by the default rule, ascending, minus skips."""
+    return (p for p in iter_primes() if p not in skip and _governed_by_default(fin, p))
 
 
 @dataclass(frozen=True)
@@ -406,7 +412,9 @@ def _check_kind(a: Adele, nbhd: Neighbourhood) -> bool:
 
 
 def embed_rational(q: Rational, kind: str = "finite") -> Adele:
-    """Diagonally embed a rational: the component is q at every place."""
+    """Diagonally embed a rational: the component is q at every place.
+
+    Both terms of q are factored by trial division to list its primes."""
     q = Fraction(q)
     explicit = {p: q for p in primes_dividing(q)}
     default = DefaultSpec.zero() if q == 0 else DefaultSpec.rational(q)
@@ -500,16 +508,13 @@ def absolute_value(a: FullAdele) -> Fraction:
     """The product of the normalized absolute values over all places.
 
     Vanishes exactly on the noninvertible adeles.  For an invertible adele
-    the product formula gives |a_oo| * prod p^-v_p(a_p) / q' over the
-    explicit primes, where q' is the numerator of the default rational
-    with the explicit primes divided out; no factoring is needed.
+    a = r * u (see factor_idele) the product formula gives |r| = 1 and
+    every u_p is a unit, so the product is the real coordinate a_oo / r
+    of u; no factoring is needed.
     """
     if not is_invertible(a):
         return Fraction(0)
-    result = abs(a.real_part) / _strip(a.default.q.numerator, a.explicit)
-    for p, v in a.explicit.items():
-        result *= Fraction(p) ** -valuation(v, p)
-    return result
+    return a.real_part / _idele_rational(a)
 
 
 def xi_partial(a: FullAdele, primes: Iterable) -> Fraction:
@@ -532,6 +537,14 @@ def xi_partial(a: FullAdele, primes: Iterable) -> Fraction:
     return result
 
 
+def _idele_rational(a: FullAdele) -> Fraction:
+    """The rational r of factor_idele's split a = r * u, a invertible."""
+    r = Fraction((1 if a.real_part > 0 else -1) * _strip(a.default.q.numerator, a.explicit))
+    for p, v in a.explicit.items():
+        r *= Fraction(p) ** valuation(v, p)
+    return r
+
+
 def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     """Split an invertible adele as r * u with r rational and u a unit idele.
 
@@ -542,8 +555,6 @@ def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     """
     if not isinstance(a, FullAdele) or not is_invertible(a):
         raise NotInvertible("only invertible full adeles factor through the units")
-    r = Fraction((1 if a.real_part > 0 else -1) * _strip(a.default.q.numerator, a.explicit))
-    for p, v in a.explicit.items():
-        r *= Fraction(p) ** valuation(v, p)
+    r = _idele_rational(a)
     u = scale(1 / r, a)
     return r, UnitIdele(u.finite_part, u.real_part)

@@ -149,6 +149,7 @@ def _oracle_window(a) -> Dict:
 
 
 _INT = {"required": True, "type": int}
+_BUDGET = SearchBudget()
 _DIVISION = ("--division", {"action": "store_true", "help": "report 1/r for the division action"})
 
 #: subcommand -> (help, flags, handler returning the response document).  A
@@ -187,9 +188,9 @@ COMMANDS = {
     "oracle-witness": ("brute-force witness search by height", [
         "--adele",
         "--nbhd",
-        ("--height-bound", {"type": int, "default": 1000}),
-        ("--prime-window", {"default": "2,3,5,7,11,13"}),
-        ("--precision", {"type": int, "default": 3}),
+        ("--height-bound", {"type": int, "default": _BUDGET.height_bound}),
+        ("--prime-window", {"default": ",".join(str(int(p)) for p in sorted(_BUDGET.prime_window))}),
+        ("--precision", {"type": int, "default": _BUDGET.precision}),
         _DIVISION,
     ], _oracle_witness),
     "oracle-window": ("closure within a finite window of places", [

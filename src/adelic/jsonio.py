@@ -46,13 +46,16 @@ from .primtop import (
 )
 from .quasiorbit import PRIME_SET, ParameterPoint
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# Whole-string ASCII matches (\d and "$" admit other scripts' digits and a
+# trailing newline); a prime has one spelling, so no two JSON keys collide
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_PRIME_RE = re.compile(r"[1-9][0-9]*")
 
 
 def parse_rational(text: Any) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
     return Fraction(text)
 
@@ -62,9 +65,7 @@ def dump_rational(q: Fraction) -> str:
 
 
 def parse_prime(text: Any) -> Prime:
-    if isinstance(text, str):
-        if not text.isdigit():
-            raise ValueError(f"not a prime literal: {text!r}")
+    if isinstance(text, str) and _PRIME_RE.fullmatch(text):
         text = int(text)
     if not isinstance(text, int) or isinstance(text, bool):
         raise ValueError(f"not a prime literal: {text!r}")

@@ -11,12 +11,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
 from .adele import Adele, FullAdele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
-from .adele import _check_kind, _governed_by_default
-from .padic import Prime, extended_prime_key, is_infinite_place, iter_primes, valuation
+from .adele import _check_kind, _default_primes, _governed_by_default
+from .padic import Prime, extended_prime_key, is_infinite_place, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
 
@@ -51,11 +52,7 @@ def _allowed_denominator_primes(a: Adele, budget: SearchBudget) -> List[Prime]:
     if fin.default.kind in (ZERO, TIMES_P):
         # every default prime divides the adele; draw them up to the window bound
         bound = max(allowed, default=Prime(13))
-        for p in iter_primes():
-            if p > bound:
-                break
-            if _governed_by_default(fin, p):
-                allowed.add(p)
+        allowed.update(takewhile(lambda p: p <= bound, _default_primes(fin)))
     return sorted(allowed)
 
 

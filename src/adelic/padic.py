@@ -32,7 +32,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact below 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -211,6 +211,13 @@ class TruncatedPadic:
         return Fraction(self.prime) ** self.valuation * self.unit_residue
 
 
+def _congruence(p: int, centre: Fraction, e: int) -> Tuple[int, int]:
+    """The integers in the ball B(centre, e) around a p-integral centre,
+    e >= 1, as one congruence (residue, p**e)."""
+    modulus = p**e
+    return centre.numerator * pow(centre.denominator, -1, modulus) % modulus, modulus
+
+
 def expand(q: Rational, p, precision: int) -> TruncatedPadic:
     """Expand a rational at p: valuation plus the unit part mod p**precision.
 
@@ -223,9 +230,7 @@ def expand(q: Rational, p, precision: int) -> TruncatedPadic:
     v = valuation(q, p)
     if v == INFINITE_VALUATION:
         return TruncatedPadic(p, INFINITE_VALUATION, None, precision)
-    unit = q * Fraction(p) ** -v
-    modulus = int(p) ** precision
-    residue = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
+    residue, _ = _congruence(p, q * Fraction(p) ** -v, precision)
     return TruncatedPadic(p, v, residue, precision)
 
 
@@ -272,9 +277,7 @@ def integer_in_ball(ball: PadicBall) -> int:
         )
     if ell <= 0:
         return 0
-    modulus = int(p) ** ell
-    c = Fraction(ball.center)
-    return c.numerator * pow(c.denominator, -1, modulus) % modulus
+    return _congruence(p, ball.center, ell)[0]
 
 
 def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:

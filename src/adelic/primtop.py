@@ -79,10 +79,6 @@ class Character:
                 return angle
         return Fraction(0)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.sign_angle == 0 and not self.prime_angles
-
     def sort_key(self):
         return (
             self.group,

@@ -10,10 +10,11 @@ then verifies the result before returning it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .adele import (
     Adele,
@@ -30,14 +31,11 @@ from .adele import (
     scale,
     zero_set,
 )
-from .adele import _check_kind, _governed_by_default
+from .adele import _check_kind, _default_primes, _idele_rational
 from .errors import ClosedOrbitMiss, Infeasible, NotIntegral
 from .padic import (
-    PadicBall,
-    Prime,
+    _congruence,
     crt_solve,
-    integer_in_ball,
-    iter_primes,
     valuation,
 )
 
@@ -190,37 +188,21 @@ def is_zero_divisor(a: FiniteAdele) -> bool:
     return a.default.kind == ZERO or any(v == 0 for v in a.explicit.values())
 
 
-def _default_primes(fin: FiniteAdele, skip=frozenset()) -> Iterator[Prime]:
-    """The primes governed by the default rule, ascending, minus skips."""
-    for p in iter_primes():
-        if p not in skip and _governed_by_default(fin, p):
-            yield p
-
-
-def _smallest_vanishing_finite_prime(fin: FiniteAdele) -> Optional[Prime]:
-    explicit_zeros = [p for p, v in fin.explicit.items() if v == 0]
-    best = min(explicit_zeros) if explicit_zeros else None
-    if fin.default.kind == ZERO:
-        d = next(_default_primes(fin))
-        if best is None or d < best:
-            best = d
-    return best
-
-
 def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     """Construct a rational r with scale(r, a) inside the neighbourhood.
 
     The algorithm mirrors the constructive orbit-closure proofs.  Each
     ball constraint at a prime p with nonvanishing component is rewritten
-    as a ball for r itself; its minimal integer solution comes from
-    integer_in_ball and the congruences are merged by crt_solve.  For full
-    adeles with a nonzero real coordinate the denominator is enlarged,
-    through powers of the smallest vanishing prime (Case I) or through the
-    default primes dividing a TIMES_P adele (Case II), until the solution
-    progression is dense enough to hit the real interval; the first
-    nonzero progression term inside the interval is taken.  Invertible
-    full adeles have closed orbits and go through the same progression
-    with a fixed denominator (see _closed_orbit_search).
+    as a ball for r itself; once the denominator is fixed, its centre is
+    p-integral and the ball becomes one congruence on the numerator
+    (padic._congruence), and the congruences are merged by crt_solve.
+    For full adeles with a nonzero real coordinate the denominator is
+    enlarged, through powers of the smallest vanishing prime (Case I) or
+    through the default primes dividing a TIMES_P adele (Case II), until
+    the solution progression is dense enough to hit the real interval;
+    the first nonzero progression term inside the interval is taken.
+    Invertible full adeles have closed orbits and go through the same
+    progression with a fixed denominator (see _closed_orbit_search).
 
     All free choices are pinned so the returned witness is canonical and
     reproducible.  The result is verified exactly before being returned.
@@ -232,25 +214,17 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     if full and is_invertible(a):
         return _closed_orbit_search(a, nbhd)
 
-    # feasibility: a vanishing coordinate can only meet a ball through 0
-    for p, ball in nbhd.balls.items():
-        if a.component(p) == 0 and not ball.contains(0):
-            raise Infeasible(
-                f"component at p={int(p)} vanishes but the ball excludes 0"
-            )
-    if full:
-        lo, hi = nbhd.real_interval
-        if a.real_part == 0 and not lo < 0 < hi:
-            raise Infeasible("real part vanishes but the interval excludes 0")
-
-    fin = a.finite_part if full else a
-
     # rewrite each ball constraint as a congruence datum for r
     cong_data = []  # (p, exponent, center of the r-ball scaled by D later)
     denominator_core = 1
     for p, ball in nbhd.balls.items():
         a_p = a.component(p)
         if a_p == 0:
+            # a vanishing coordinate can only meet a ball through 0
+            if not ball.contains(0):
+                raise Infeasible(
+                    f"component at p={int(p)} vanishes but the ball excludes 0"
+                )
             continue  # feasible ball, satisfied by every r
         gamma = ball.center / a_p
         m = ball.radius_exponent - valuation(a_p, p)
@@ -260,6 +234,12 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         e_p = m + d_p
         if e_p >= 1:
             cong_data.append((p, e_p, gamma))
+    if full:
+        lo, hi = nbhd.real_interval
+        if a.real_part == 0 and not lo < 0 < hi:
+            raise Infeasible("real part vanishes but the interval excludes 0")
+
+    fin = a.finite_part if full else a
 
     # integrality at unconstrained explicit primes with negative valuation
     extra_congruences = []
@@ -271,24 +251,21 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
             extra_congruences.append((0, int(p) ** -alpha))
 
     # denominator growth for real-interval control (full case only)
-    need_interval = full and a.real_part != 0
-    tail_factor = 1
-    case_one_prime = None
-    case_two_primes: Iterator[Prime] = iter(())
-    if need_interval:
-        lo, hi = nbhd.real_interval
+    tail_factor, tail_primes = 1, None
+    if full and a.real_part != 0:
         modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
         modulus *= math.prod(m for _, m in extra_congruences)
         # tail_factor is an integer, so comparing it with the floor is exact
         threshold = math.floor(abs(a.real_part) * modulus / ((hi - lo) * denominator_core))
-        case_one_prime = _smallest_vanishing_finite_prime(fin)
-        if case_one_prime is not None:
-            while tail_factor <= threshold:
-                tail_factor *= int(case_one_prime)
-        else:  # noninvertible with nothing vanishing: a TIMES_P default
-            case_two_primes = _default_primes(fin, skip=frozenset(nbhd.balls))
-            while tail_factor <= threshold:
-                tail_factor *= int(next(case_two_primes))
+        vanishing = [p for p, v in fin.explicit.items() if v == 0]
+        if fin.default.kind == ZERO:
+            vanishing.append(next(_default_primes(fin)))
+        if vanishing:  # Case I: powers of the smallest vanishing prime
+            tail_primes = itertools.repeat(min(vanishing))
+        else:  # Case II: nothing vanishes, so the default is TIMES_P
+            tail_primes = _default_primes(fin, skip=frozenset(nbhd.balls))
+        while tail_factor <= threshold:
+            tail_factor *= next(tail_primes)
 
     # The tail growth made the open numerator range longer than the
     # modulus, so it holds a progression term and only a lone 0 can be
@@ -297,19 +274,15 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     while True:
         denominator = denominator_core * tail_factor
         congruences = [
-            (integer_in_ball(PadicBall(p, gamma * denominator, e)), int(p) ** e)
-            for p, e, gamma in cong_data
+            _congruence(p, gamma * denominator, e) for p, e, gamma in cong_data
         ] + extra_congruences
         bounds = None
-        if need_interval:
+        if tail_primes is not None:
             bounds = (lo * denominator / a.real_part, hi * denominator / a.real_part)
         numerator = _pick_numerator(congruences, bounds)
         if numerator is not None:
             return _verified(Fraction(numerator, denominator), a, nbhd)
-        if case_one_prime is not None:
-            tail_factor *= int(case_one_prime)
-        else:
-            tail_factor *= int(next(case_two_primes))
+        tail_factor *= next(tail_primes)
 
 
 def _pick_numerator(congruences, bounds) -> Optional[int]:
@@ -337,16 +310,18 @@ def _closed_orbit_search(a: FullAdele, nbhd: Neighbourhood) -> Fraction:
 
     The orbit is closed, so either some exact r lands in the
     neighbourhood or none does.  Factoring a = r0 * u reduces the question
-    to scalings t of the unit u.  As u_p is a p-adic unit, t * u_p lies in
-    the ball B(c_p, e_p) exactly when t lies in B(c_p / u_p, e_p), which
-    forces v_p(t) >= min(e_p, v_p(c_p)); off the balls t must be
-    integral.  So t = n / D with D = prod p^-min(e_p, v_p(c_p)) over the
-    balls where that exponent is negative, and each ball becomes the
-    congruence n in B(D * c_p / u_p, e_p + v_p(D)).  The first nonzero
+    to scalings t of the unit u, which is never built: only u_p = a_p / r0
+    at the balls and u_oo = a_oo / r0 are read.  As u_p is a p-adic unit,
+    t * u_p lies in the ball B(c_p, e_p) exactly when t lies in
+    B(c_p / u_p, e_p), which forces v_p(t) >= min(e_p, v_p(c_p)); off the
+    balls t must be integral.  So t = n / D with D = prod
+    p^-min(e_p, v_p(c_p)) over the balls where that exponent is negative,
+    and each ball becomes the congruence n in B(D * c_p / u_p,
+    e_p + v_p(D)), whose centre is p-integral.  The first nonzero
     progression term in the real interval is the smallest such n, or
     there is none and the orbit misses the neighbourhood.
     """
-    r0, u = factor_idele(a)
+    r0 = _idele_rational(a)
     shifts = {
         p: max(0, -min(ball.radius_exponent, valuation(ball.center, p)))
         for p, ball in nbhd.balls.items()
@@ -356,10 +331,11 @@ def _closed_orbit_search(a: FullAdele, nbhd: Neighbourhood) -> Fraction:
     for p, ball in nbhd.balls.items():
         e = ball.radius_exponent + shifts[p]
         if e >= 1:
-            center = ball.center * denominator / u.component(p)
-            congruences.append((integer_in_ball(PadicBall(p, center, e)), int(p) ** e))
+            # c_p * D / u_p with u_p = a_p / r0
+            congruences.append(_congruence(p, ball.center * denominator * r0 / a.component(p), e))
     lo, hi = nbhd.real_interval
-    n = _pick_numerator(congruences, (lo * denominator / u.real_part, hi * denominator / u.real_part))
+    u_inf = a.real_part / r0
+    n = _pick_numerator(congruences, (lo * denominator / u_inf, hi * denominator / u_inf))
     if n is None:
         raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
     return _verified(Fraction(n, denominator) / r0, a, nbhd)

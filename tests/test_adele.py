@@ -272,6 +272,8 @@ class TestFactorIdele:
         r2, u2 = factor_idele(FullAdele(a.finite_part, a.real_part))
         assert r2 == r and u2 == u
         assert scale(r2, u2) == a
+        # the product formula: |a| is the real coordinate of its unit part
+        assert absolute_value(a) == u2.real_part == real
 
 
 class TestNeighbourhood:

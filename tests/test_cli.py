@@ -193,6 +193,13 @@ class TestErrorHandling:
         code, doc = invoke(capsys, "valuation", "--q", "1", "--p", "4")
         assert code == 1 and doc["error"]["code"] == "invalid_input"
 
+    def test_keys_naming_the_same_prime_rejected(self, capsys):
+        # "02" would name 2 too, and whichever key came last would win
+        for explicit in ('{"2":"8","02":"1"}', '{"02":"1","2":"8"}'):
+            adele = '{"explicit":%s,"default":{"kind":"rational","q":"1"},"real":"3"}' % explicit
+            code, doc = invoke(capsys, "abs", "--adele", adele)
+            assert code == 1 and doc["error"]["code"] == "invalid_input"
+
     def test_not_invertible_is_domain_error(self, capsys):
         adele = json.dumps(
             {"explicit": {"2": "0"}, "default": {"kind": "rational", "q": "1"}, "real": "1"}

@@ -40,9 +40,13 @@ class TestRationals:
         assert jsonio.dump_rational(F(6)) == "6"
 
     def test_rejects_sloppy_forms(self):
-        for bad in ["1.5", "1/0", " 2", "2/-3", "a", None, 1.5, True]:
+        for bad in ["1.5", "1/0", " 2", "2/-3", "a", "\u0663", "3\n", None, 1.5, True]:
             with pytest.raises(ValueError):
                 jsonio.parse_rational(bad)
+        # a prime has one spelling, so two JSON keys never name the same prime
+        for bad in ["02", "\u0662", "+2", " 2", "2\n", "0"]:
+            with pytest.raises(ValueError):
+                jsonio.parse_prime(bad)
 
 
 class TestAdeleRoundTrip:

@@ -186,20 +186,20 @@ class FiniteAdele:
         return f"FiniteAdele({{{parts}}}, default={tail})"
 
 
-def _governed_by_default(fin: FiniteAdele, p: Prime) -> bool:
+def _governed_by_default(a: Adele, p: Prime) -> bool:
     """Whether p divides neither term of the default rational and is not
     explicit or has an entry restating the default rule: a property of
     the adele, not of its description."""
-    q = fin.default.q
+    q = a.default.q
     if q is not None and (q.numerator % p == 0 or q.denominator % p == 0):
         return False
-    v = fin.explicit.get(p)
-    return v is None or v == fin.default.value_at(p)
+    v = a.explicit.get(p)
+    return v is None or v == a.default.value_at(p)
 
 
-def _default_primes(fin: FiniteAdele, skip=frozenset()) -> Iterator[Prime]:
+def _default_primes(a: Adele, skip=frozenset()) -> Iterator[Prime]:
     """The primes governed by the default rule, ascending, minus skips."""
-    return (p for p in iter_primes() if p not in skip and _governed_by_default(fin, p))
+    return (p for p in iter_primes() if p not in skip and _governed_by_default(a, p))
 
 
 @dataclass(frozen=True)
@@ -388,9 +388,8 @@ class Neighbourhood:
         for p, ball in self.balls.items():
             if not ball.contains(a.component(p)):
                 return False
-        fin = a.finite_part if full else a
         # defaults are integral by construction; only explicit entries can stray
-        for p, v in fin.explicit.items():
+        for p, v in a.explicit.items():
             if p not in self.balls and valuation(v, p) < 0:
                 return False
         if full:
@@ -479,13 +478,12 @@ def zero_set(a: Adele) -> PrimeSet:
     """
     full = isinstance(a, FullAdele)
     base = EXTENDED_PRIMES if full else FINITE_PRIMES
-    fin = a.finite_part if full else a
-    if fin.default.kind == ZERO:
-        excluded = {p for p, v in fin.explicit.items() if v != 0}
+    if a.default.kind == ZERO:
+        excluded = {p for p, v in a.explicit.items() if v != 0}
         if full and a.real_part != 0:
             excluded.add(INFINITY)
         return PrimeSet.cofinite(excluded, base)
-    members = {p for p, v in fin.explicit.items() if v == 0}
+    members = {p for p, v in a.explicit.items() if v == 0}
     if full and a.real_part == 0:
         members.add(INFINITY)
     return PrimeSet.finite(members, base)

@@ -59,8 +59,17 @@ def _valuation_doc(v) -> Any:
 # replaced on a module (as the benchmark's tracer does) is the one called.
 
 
+def _unique_keys(pairs) -> Dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"repeated key in JSON object {[k for k, _ in pairs]}")
+    return doc
+
+
 def _load(parse, text: str):
-    return parse(json.loads(text))
+    """Parse a JSON flag value; a key repeated within one object is
+    malformed input, not a silent last-one-wins."""
+    return parse(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def _adele(text: str, full: Optional[bool] = None, message: str = ""):
@@ -127,7 +136,7 @@ def _prim_equal(a) -> Dict:
         jsonio._require_keys(doc, ["set", "character"])
         return jsonio.parse_prime_set(doc["set"]), jsonio.parse_character(doc["character"])
 
-    return {"equal": prim_equal(pair(json.loads(a.left)), pair(json.loads(a.right)))}
+    return {"equal": prim_equal(_load(pair, a.left), _load(pair, a.right))}
 
 
 def _char_eval(a) -> Dict:
@@ -137,7 +146,7 @@ def _char_eval(a) -> Dict:
 
 def _oracle_witness(a) -> Dict:
     adele, nbhd = _adele(a.adele), _load(jsonio.parse_neighbourhood, a.nbhd)
-    window = frozenset(int(p) for p in a.prime_window.split(",") if p)
+    window = frozenset(jsonio.parse_prime(p) for p in a.prime_window.split(",") if p)
     r = witness_by_search(adele, nbhd, SearchBudget(a.height_bound, window, a.precision))
     return _r_doc(r, a.division)
 

@@ -55,9 +55,11 @@ _PRIME_RE = re.compile(r"[1-9][0-9]*")
 def parse_rational(text: Any) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a canonical rational: {text!r}")
-    return Fraction(text)
+    if isinstance(text, str) and _RATIONAL_RE.fullmatch(text):
+        q = Fraction(text)
+        if dump_rational(q) == text:  # reduced, no sign on 0, no "+", no leading 0
+            return q
+    raise ValueError(f"not a canonical rational: {text!r}")
 
 
 def dump_rational(q: Fraction) -> str:
@@ -137,10 +139,9 @@ def parse_adele(doc: Dict) -> Adele:
 
 
 def dump_adele(a: Adele) -> Dict:
-    fin = a.finite_part if isinstance(a, FullAdele) else a
     doc = {
-        "explicit": {str(int(p)): dump_rational(v) for p, v in fin.explicit.items()},
-        "default": dump_default(fin.default),
+        "explicit": {str(int(p)): dump_rational(v) for p, v in a.explicit.items()},
+        "default": dump_default(a.default),
     }
     if isinstance(a, FullAdele):
         doc["real"] = dump_rational(a.real_part)

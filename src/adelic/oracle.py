@@ -15,9 +15,9 @@ from itertools import takewhile
 from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
-from .adele import Adele, FullAdele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
+from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
 from .adele import _check_kind, _default_primes, _governed_by_default
-from .padic import Prime, extended_prime_key, is_infinite_place, valuation
+from .padic import Prime, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
 
@@ -46,13 +46,12 @@ class SearchBudget:
 
 def _allowed_denominator_primes(a: Adele, budget: SearchBudget) -> List[Prime]:
     """Window primes plus the primes where scaling can absorb denominators."""
-    fin = a.finite_part if isinstance(a, FullAdele) else a
     allowed = set(budget.prime_window)
-    allowed.update(p for p, v in fin.explicit.items() if v == 0 and not _governed_by_default(fin, p))
-    if fin.default.kind in (ZERO, TIMES_P):
+    allowed.update(p for p, v in a.explicit.items() if v == 0 and not _governed_by_default(a, p))
+    if a.default.kind in (ZERO, TIMES_P):
         # every default prime divides the adele; draw them up to the window bound
         bound = max(allowed, default=Prime(13))
-        allowed.update(takewhile(lambda p: p <= bound, _default_primes(fin)))
+        allowed.update(takewhile(lambda p: p <= bound, _default_primes(a)))
     return sorted(allowed)
 
 
@@ -145,22 +144,18 @@ def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSe
     G inside the window, and keeps T when each U_G containing T meets the
     points.  This is the definition, evaluated by brute force; it equals
     supersets-within-window and validates the up-set closure formulas.
+    The window is a set of places, so a repeated place counts once.
     """
-    window = sorted(
-        (p if is_infinite_place(p) else Prime(p) for p in window),
-        key=extended_prime_key,
-    )
+    window = PrimeSet.finite(window, EXTENDED_PRIMES).members
     pts = list(points)
-    base = None
     for s in pts:
         if s.kind != "finite":
             raise ValueError("the window oracle takes finite prime sets")
-        if not s.members <= frozenset(window):
+        if not s.members <= window:
             raise ValueError(f"point {s} strays outside the window")
-        base = s.base if base is None else base
-        if s.base != base:
+        if s.base != pts[0].base:
             raise ValueError("points must share a base")
-    if base is None:
+    if not pts:
         return []
 
     def subsets(universe):
@@ -180,5 +175,5 @@ def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSe
                 keep = False
                 break
         if keep:
-            closure.append(PrimeSet.finite(t, base=base))
+            closure.append(PrimeSet.finite(t, base=pts[0].base))
     return sorted(closure, key=lambda s: s.sort_key())

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .adele import EXTENDED_PRIMES, FINITE_PRIMES, PrimeSet, UnitIdele
 from .errors import ImproperPoint, MalformedDescriptor, NegativeForQPlus
-from .padic import Prime, Rational, is_infinite_place, valuation
+from .padic import Prime, Rational, valuation
 from .quasiorbit import PRIME_SET, ParameterPoint
 
 # character groups
@@ -124,14 +124,7 @@ class SingletonFamily:
     base: str = EXTENDED_PRIMES
 
     def __post_init__(self):
-        members = frozenset(
-            p if is_infinite_place(p) else Prime(p) for p in self.excluded
-        )
-        if self.base not in (FINITE_PRIMES, EXTENDED_PRIMES):
-            raise ValueError(f"unknown base {self.base!r}")
-        if self.base == FINITE_PRIMES and any(is_infinite_place(p) for p in members):
-            raise ValueError("INFINITY only belongs to the extended primes")
-        object.__setattr__(self, "excluded", members)
+        object.__setattr__(self, "excluded", PrimeSet.finite(self.excluded, self.base).members)
 
 
 @dataclass(frozen=True)
@@ -285,7 +278,7 @@ WHOLE_SPACE = ClosedSetDescriptor(whole_space=True)
 
 def pc_basic_open(excluded: Iterable) -> Callable[[PrimeSet], bool]:
     """The membership predicate of the basic open U_G = {T : T meets no G}."""
-    members = frozenset(p if is_infinite_place(p) else Prime(p) for p in excluded)
+    members = PrimeSet.finite(excluded, EXTENDED_PRIMES).members
 
     def predicate(t: PrimeSet) -> bool:
         return not any(t.contains(p) for p in members)
@@ -438,25 +431,17 @@ def closed_contains_atom(closed: ClosedSetDescriptor, atom: Atom) -> bool:
     """Whether the set an atom denotes sits inside a closed description."""
     if closed.whole_space:
         return True
+    up, units, unit_families, characters, all_chars = _parts(SetDescriptor.of(atom))
+    if any(f.inf_abs_zero for f in unit_families):
+        return False  # only the whole space swallows an accumulating family
+    units += [u for f in unit_families for u in f.prefix]
     # the power-cofinite space admits both bases; up-sets hold prime sets
     # of their own base only
-    if isinstance(atom, PrimeSetPoint):
-        return any(
-            up.base == atom.point.base and up.is_subset_of(atom.point) for up in closed.up_sets
-        )
-    if isinstance(atom, SingletonFamily):
-        return any(up.base == atom.base and up.is_empty for up in closed.up_sets)
-    if isinstance(atom, UnitPoint):
-        return atom.unit in closed.unit_points
-    if isinstance(atom, UnitFamily):
-        if atom.inf_abs_zero:
-            return False  # only the whole space swallows an accumulating family
-        return all(u in closed.unit_points for u in atom.prefix)
-    if isinstance(atom, CharacterPoint):
-        return closed.all_characters or atom.character in closed.character_points
-    if isinstance(atom, AllCharacters):
-        return closed.all_characters
-    raise MalformedDescriptor(f"not a descriptor atom: {atom!r}")
+    return (
+        all(any(t.base == s.base and t.is_subset_of(s) for t in closed.up_sets) for s in up)
+        and all(u in closed.unit_points for u in units)
+        and (closed.all_characters or not all_chars and all(c in closed.character_points for c in characters))
+    )
 
 
 def point_specializes(x, y) -> bool:

@@ -22,8 +22,6 @@ from .adele import (
     FullAdele,
     Neighbourhood,
     PrimeSet,
-    RATIONAL,
-    TIMES_P,
     UnitIdele,
     ZERO,
     factor_idele,
@@ -139,20 +137,17 @@ def exact_orbit_witness(a: Adele, b: Adele) -> Optional[Fraction]:
     if full and a.real_part != 0:
         candidate = b.real_part / a.real_part
     else:
-        fin_a = a.finite_part if full else a
-        fin_b = b.finite_part if full else b
-        for p in sorted(set(fin_a.explicit) | set(fin_b.explicit)):
-            va = fin_a.component(p)
+        for p in sorted(a.explicit.keys() | b.explicit.keys()):
+            va = a.component(p)
             if va != 0:
-                candidate = fin_b.component(p) / va
+                candidate = b.component(p) / va
                 break
         else:
-            if fin_a.default.kind in (RATIONAL, TIMES_P):
-                if fin_b.default.kind == fin_a.default.kind:
-                    candidate = fin_b.default.q / fin_a.default.q
-            else:
+            if a.default.kind == ZERO:
                 # a vanishes identically; only b == a keeps it in the orbit
                 return Fraction(1) if a == b else None
+            if b.default.kind == a.default.kind:
+                candidate = b.default.q / a.default.q
     if candidate is None or candidate == 0:
         return None
     if not full and candidate <= 0:
@@ -164,10 +159,8 @@ def _scales_to(r: Fraction, a: Adele, b: Adele) -> bool:
     """Whether scale(r, a) == b.  Off the explicit primes of a and b both
     components follow the default rules, which agree after scaling exactly
     when their kinds match and r * q_a == q_b."""
-    if isinstance(a, FullAdele):
-        if r * a.real_part != b.real_part:
-            return False
-        a, b = a.finite_part, b.finite_part
+    if isinstance(a, FullAdele) and r * a.real_part != b.real_part:
+        return False
     if a.default.kind != b.default.kind or (a.default.kind != ZERO and r * a.default.q != b.default.q):
         return False
     return all(r * a.component(p) == b.component(p) for p in a.explicit.keys() | b.explicit.keys())
@@ -196,6 +189,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     as a ball for r itself; once the denominator is fixed, its centre is
     p-integral and the ball becomes one congruence on the numerator
     (padic._congruence), and the congruences are merged by crt_solve.
+    Off the balls r * a_p must be integral, which is the ball B(0, 0):
+    the explicit primes without a ball go through the same rewrite.
     For full adeles with a nonzero real coordinate the denominator is
     enlarged, through powers of the smallest vanishing prime (Case I) or
     through the default primes dividing a TIMES_P adele (Case II), until
@@ -217,53 +212,43 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     # rewrite each ball constraint as a congruence datum for r
     cong_data = []  # (p, exponent, center of the r-ball scaled by D later)
     denominator_core = 1
-    for p, ball in nbhd.balls.items():
-        a_p = a.component(p)
+    for p in sorted(nbhd.balls.keys() | a.explicit.keys()):
+        ball = nbhd.balls.get(p)
+        centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
+        a_p, v_centre = a.component(p), valuation(centre, p)
         if a_p == 0:
             # a vanishing coordinate can only meet a ball through 0
-            if not ball.contains(0):
+            if v_centre < radius:
                 raise Infeasible(
                     f"component at p={int(p)} vanishes but the ball excludes 0"
                 )
             continue  # feasible ball, satisfied by every r
-        gamma = ball.center / a_p
-        m = ball.radius_exponent - valuation(a_p, p)
-        beta = valuation(gamma, p)
+        alpha = valuation(a_p, p)
+        m = radius - alpha
+        beta = v_centre - alpha  # v_p(gamma) for gamma = centre / a_p
         d_p = max(0, -beta) if beta < m else 0
         denominator_core *= int(p) ** d_p
         e_p = m + d_p
         if e_p >= 1:
-            cong_data.append((p, e_p, gamma))
+            cong_data.append((p, e_p, centre / a_p))
     if full:
         lo, hi = nbhd.real_interval
         if a.real_part == 0 and not lo < 0 < hi:
             raise Infeasible("real part vanishes but the interval excludes 0")
 
-    fin = a.finite_part if full else a
-
-    # integrality at unconstrained explicit primes with negative valuation
-    extra_congruences = []
-    for p, v in fin.explicit.items():
-        if p in nbhd.balls or v == 0:
-            continue
-        alpha = valuation(v, p)
-        if alpha < 0:
-            extra_congruences.append((0, int(p) ** -alpha))
-
     # denominator growth for real-interval control (full case only)
     tail_factor, tail_primes = 1, None
     if full and a.real_part != 0:
         modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
-        modulus *= math.prod(m for _, m in extra_congruences)
         # tail_factor is an integer, so comparing it with the floor is exact
         threshold = math.floor(abs(a.real_part) * modulus / ((hi - lo) * denominator_core))
-        vanishing = [p for p, v in fin.explicit.items() if v == 0]
-        if fin.default.kind == ZERO:
-            vanishing.append(next(_default_primes(fin)))
+        vanishing = [p for p, v in a.explicit.items() if v == 0]
+        if a.default.kind == ZERO:
+            vanishing.append(next(_default_primes(a)))
         if vanishing:  # Case I: powers of the smallest vanishing prime
             tail_primes = itertools.repeat(min(vanishing))
         else:  # Case II: nothing vanishes, so the default is TIMES_P
-            tail_primes = _default_primes(fin, skip=frozenset(nbhd.balls))
+            tail_primes = _default_primes(a, skip=frozenset(nbhd.balls))
         while tail_factor <= threshold:
             tail_factor *= next(tail_primes)
 
@@ -273,10 +258,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     # then holds two terms, at most one of them 0: this runs at most twice.
     while True:
         denominator = denominator_core * tail_factor
-        congruences = [
-            _congruence(p, gamma * denominator, e) for p, e, gamma in cong_data
-        ] + extra_congruences
-        bounds = None
+        congruences = [_congruence(p, gamma * denominator, e) for p, e, gamma in cong_data]
+        bounds = (0, math.inf)
         if tail_primes is not None:
             bounds = (lo * denominator / a.real_part, hi * denominator / a.real_part)
         numerator = _pick_numerator(congruences, bounds)
@@ -286,16 +269,13 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
 
 
 def _pick_numerator(congruences, bounds) -> Optional[int]:
-    """First admissible numerator in the CRT solution progression.
-
-    Without bounds this is the smallest positive solution; with bounds
-    (the ends of an open interval, in either order) it is the first
-    nonzero solution inside them, or None when there is none.
+    """The first nonzero term of the CRT solution progression strictly
+    between the bounds (the ends of an open interval, in either order),
+    or None when there is none.  Bounds (0, math.inf) give the smallest
+    positive solution.
     """
     base = crt_solve(congruences)
     modulus = math.prod(m for _, m in congruences)
-    if bounds is None:
-        return base if base > 0 else base + modulus
     first, last = sorted(bounds)
     n = base + ((first - base) // modulus + 1) * modulus  # exact Fraction floor
     while n < last:

@@ -5,7 +5,9 @@ import sys
 from fractions import Fraction
 
 import adelic
-from adelic.cli import main
+from adelic import jsonio
+from adelic.cli import build_parser, main
+from adelic.oracle import DEFAULT_WINDOW
 
 F = Fraction
 
@@ -125,6 +127,28 @@ class TestWitnessCommands:
         )
         assert code == 0 and doc == {"r": "16"}
 
+    def test_misses_report_a_null_r(self, capsys):
+        a = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}})
+        b = json.dumps({"explicit": {}, "default": {"kind": "times_p", "q": "1"}})
+        code, doc = invoke(capsys, "exact-witness", "--a", a, "--b", b)
+        assert code == 0 and doc == {"r": None}
+        # a 2-adic valuation of 7 needs a height above the bound
+        nbhd = json.dumps({"balls": {"2": {"center": "0", "radius_exponent": 7}}})
+        code, doc = invoke(
+            capsys, "oracle-witness", "--adele", a, "--nbhd", nbhd, "--height-bound", "100"
+        )
+        assert code == 0 and doc == {"r": None}
+
+    def test_prime_window_items_parse_as_prime_keys(self, capsys):
+        adele = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}})
+        nbhd = json.dumps({"balls": {"2": {"center": "0", "radius_exponent": 3}}})
+        argv = ["oracle-witness", "--adele", adele, "--nbhd", nbhd, "--height-bound", "100"]
+        code, doc = invoke(capsys, *argv, "--prime-window", " 2, 03,\u0663")
+        assert code == 1 and doc["error"]["code"] == "invalid_input"
+        args = build_parser().parse_args(argv)
+        assert frozenset(jsonio.parse_prime(p) for p in args.prime_window.split(",")) == DEFAULT_WINDOW
+        assert invoke(capsys, *argv) == invoke(capsys, *argv, "--prime-window", "2,3,5,7,11,13")
+
 
 class TestTopologyCommands:
     def test_pc_closure(self, capsys):
@@ -177,6 +201,8 @@ class TestTopologyCommands:
         assert code == 0
         members = [s["members"] for s in doc["closure"]]
         assert members == [["2"], ["2", "3"]]
+        # a repeated place counts once
+        assert invoke(capsys, "oracle-window", "--points", points, "--window", "2,3,2") == (code, doc)
 
 
 class TestErrorHandling:
@@ -194,10 +220,25 @@ class TestErrorHandling:
         assert code == 1 and doc["error"]["code"] == "invalid_input"
 
     def test_keys_naming_the_same_prime_rejected(self, capsys):
-        # "02" would name 2 too, and whichever key came last would win
-        for explicit in ('{"2":"8","02":"1"}', '{"02":"1","2":"8"}'):
+        # "02" would name 2 too; of two keys for one prime the last would win
+        for explicit in ('{"2":"8","02":"1"}', '{"02":"1","2":"8"}',
+                         '{"2":"8","2":"1"}', '{"2":"1","2":"8"}'):
             adele = '{"explicit":%s,"default":{"kind":"rational","q":"1"},"real":"3"}' % explicit
             code, doc = invoke(capsys, "abs", "--adele", adele)
+            assert code == 1 and doc["error"]["code"] == "invalid_input"
+
+    def test_repeated_json_keys_rejected(self, capsys):
+        # whichever key came last would win
+        for reals in ('"real":"3","real":"1"', '"real":"1","real":"3"'):
+            adele = '{"explicit":{"2":"8"},"default":{"kind":"rational","q":"1"},%s}' % reals
+            code, doc = invoke(capsys, "abs", "--adele", adele)
+            assert code == 1 and doc["error"]["code"] == "invalid_input"
+        character = '"character":{"group":"q_plus"}'
+        one, two = ('{"base":"finite","kind":"finite","members":[%s]}' % m for m in ('"2"', '"3"'))
+        pair = '{"set":%s,"set":%s,%s}'
+        for left in (pair % (one, two, character), pair % (two, one, character)):
+            right = '{"set":%s,%s}' % (one, character)
+            code, doc = invoke(capsys, "prim-equal", "--left", left, "--right", right)
             assert code == 1 and doc["error"]["code"] == "invalid_input"
 
     def test_not_invertible_is_domain_error(self, capsys):

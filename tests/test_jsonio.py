@@ -40,7 +40,8 @@ class TestRationals:
         assert jsonio.dump_rational(F(6)) == "6"
 
     def test_rejects_sloppy_forms(self):
-        for bad in ["1.5", "1/0", " 2", "2/-3", "a", "\u0663", "3\n", None, 1.5, True]:
+        for bad in ["1.5", "1/0", " 2", "2/-3", "a", "\u0663", "3\n", None, 1.5, True,
+                    "03", "+3", "-0", "-0/7", "2/4", "3/1"]:
             with pytest.raises(ValueError):
                 jsonio.parse_rational(bad)
         # a prime has one spelling, so two JSON keys never name the same prime

@@ -179,6 +179,10 @@ class TestWindowClosure:
         result = window_closure([PrimeSet.finite({2})], {2, 3})
         assert result == [PrimeSet.finite({2}), PrimeSet.finite({2, 3})]
 
+    def test_repeated_place_counts_once(self):
+        points = [PrimeSet.finite({2})]
+        assert window_closure(points, [2, 3, 2]) == window_closure(points, [2, 3])
+
     def test_empty_points(self):
         assert window_closure([], {2, 3}) == []
 

@@ -155,6 +155,19 @@ class TestPcClosure:
         assert not closed_contains_atom(closed, SingletonFamily(frozenset(), base=EXTENDED_PRIMES))
 
 
+class TestClosedContainsAtom:
+    def test_only_the_whole_space_swallows_an_accumulating_family(self):
+        family = UnitFamily((unit(2), unit(1)), inf_abs_zero=True)
+        closed = tau_closure(SetDescriptor.of(UnitPoint(unit(2)), UnitPoint(unit(1))))
+        assert not closed_contains_atom(closed, family)
+        assert closed_contains_atom(closed, UnitFamily((unit(2), unit(1))))
+        assert closed_contains_atom(WHOLE_SPACE, family)
+
+    def test_rejects_a_non_atom(self):
+        with pytest.raises(MalformedDescriptor):
+            closed_contains_atom(pc_closure([fin(2)]), fin(2))
+
+
 class TestPcDense:
     def test_examples(self):
         assert pc_dense([fin()])

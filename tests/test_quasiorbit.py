@@ -176,6 +176,17 @@ class TestExactWitness:
         b = finite({}, DefaultSpec.times_p(1))
         assert exact_orbit_witness(a, b) is None
 
+    @pytest.mark.parametrize(
+        "qa, qb, r",
+        [
+            (DefaultSpec.rational(2), DefaultSpec.rational(6), 3),
+            (DefaultSpec.times_p(2), DefaultSpec.times_p(10), 5),
+        ],
+    )
+    def test_ratio_of_the_default_rules(self, qa, qb, r):
+        # nothing explicit, so the candidate is read off the default rules
+        assert exact_orbit_witness(finite({}, qa), finite({}, qb)) == r
+
     def test_mismatched_real_parts(self):
         # with a zero real part the candidate 1 comes from the prime 2
         a = full({2: F(3)}, DefaultSpec.rational(1), F(0))

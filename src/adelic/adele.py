@@ -98,13 +98,8 @@ def _strip(n: int, primes: Iterable) -> int:
 
 
 def _normalize_explicit(explicit) -> Dict[Prime, Fraction]:
-    out = {}
-    for p, v in dict(explicit).items():
-        p = Prime(p)
-        if p in out:
-            raise ValueError(f"duplicate explicit prime {int(p)}")
-        out[p] = Fraction(v)
-    return dict(sorted(out.items()))
+    # dict keys are distinct numbers and Prime(p) == p, so no two collide
+    return dict(sorted((Prime(p), Fraction(v)) for p, v in dict(explicit).items()))
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except AdelicError as exc:
         _dump({"error": {"code": exc.code, "detail": str(exc)}}, pretty)
         return 2
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         _dump({"error": {"code": "invalid_input", "detail": str(exc)}}, pretty)
         return 1
     _dump(doc, pretty)

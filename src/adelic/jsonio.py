@@ -118,6 +118,7 @@ def parse_default(doc: Dict) -> DefaultSpec:
             raise ValueError("zero default carries no rational")
         return DefaultSpec.zero()
     if kind in (RATIONAL, TIMES_P):
+        _require_keys(doc, ["kind", "q"])
         return DefaultSpec(kind, parse_rational(doc["q"]))
     raise ValueError(f"unknown default kind {kind!r}")
 
@@ -158,11 +159,15 @@ def parse_unit_idele(doc: Dict) -> UnitIdele:
 # -- prime sets and neighbourhoods ------------------------------------------
 
 
+def _parse_base(name: Any) -> str:
+    if name not in ("finite", "extended"):
+        raise ValueError(f"unknown base {name!r}")
+    return FINITE_PRIMES if name == "finite" else EXTENDED_PRIMES
+
+
 def parse_prime_set(doc: Dict) -> PrimeSet:
     _require_keys(doc, ["base", "kind", "members"])
-    base = {"finite": FINITE_PRIMES, "extended": EXTENDED_PRIMES}.get(doc["base"])
-    if base is None:
-        raise ValueError(f"unknown base {doc['base']!r}")
+    base = _parse_base(doc["base"])
     members = frozenset(parse_place(m) for m in _require_list(doc["members"], "members"))
     return PrimeSet(base, doc["kind"], members)
 
@@ -215,8 +220,10 @@ def dump_neighbourhood(v: Neighbourhood) -> Dict:
 def parse_parameter_point(doc: Dict) -> ParameterPoint:
     _require_keys(doc, ["kind"], ["set", "unit"])
     if doc["kind"] == "prime_set":
+        _require_keys(doc, ["kind", "set"], ["unit"])
         return ParameterPoint.of_prime_set(parse_prime_set(doc["set"]))
     if doc["kind"] == "unit_class":
+        _require_keys(doc, ["kind", "unit"], ["set"])
         return ParameterPoint.of_unit(parse_unit_idele(doc["unit"]))
     raise ValueError(f"unknown parameter point kind {doc['kind']!r}")
 
@@ -251,7 +258,7 @@ def dump_character(c: Character) -> Dict:
 def parse_descriptor(doc: Dict) -> SetDescriptor:
     _require_keys(doc, ["atoms"])
     atoms = []
-    for atom_doc in doc["atoms"]:
+    for atom_doc in _require_list(doc["atoms"], "atoms"):
         if not isinstance(atom_doc, dict) or "kind" not in atom_doc:
             raise ValueError("each atom needs a kind")
         kind = atom_doc["kind"]
@@ -260,11 +267,7 @@ def parse_descriptor(doc: Dict) -> SetDescriptor:
             atoms.append(PrimeSetPoint(parse_prime_set(atom_doc["set"])))
         elif kind == "singleton_family":
             _require_keys(atom_doc, ["kind", "excluded"], ["base"])
-            base = {"finite": FINITE_PRIMES, "extended": EXTENDED_PRIMES}.get(
-                atom_doc.get("base", "extended")
-            )
-            if base is None:
-                raise ValueError(f"unknown base {atom_doc['base']!r}")
+            base = _parse_base(atom_doc.get("base", "extended"))
             atoms.append(
                 SingletonFamily(
                     frozenset(parse_place(p) for p in _require_list(atom_doc["excluded"], "excluded")), base
@@ -275,7 +278,7 @@ def parse_descriptor(doc: Dict) -> SetDescriptor:
             atoms.append(UnitPoint(parse_unit_idele(atom_doc["unit"])))
         elif kind == "unit_family":
             _require_keys(atom_doc, ["kind", "prefix", "inf_abs_zero"])
-            prefix = tuple(parse_unit_idele(u) for u in atom_doc["prefix"])
+            prefix = tuple(parse_unit_idele(u) for u in _require_list(atom_doc["prefix"], "prefix"))
             flag = atom_doc["inf_abs_zero"]
             if not isinstance(flag, bool):
                 raise ValueError("inf_abs_zero must be a boolean")

@@ -1,9 +1,10 @@
 """Independent brute-force verifiers.
 
 These deliberately know nothing about the CRT construction: the witness
-search enumerates rationals by height and tests membership exactly, and
-the window closure enumerates basic opens over a finite window.  The
-test suite uses them to cross-check the constructive algorithms.
+search enumerates rationals by height and tests membership in integers
+place by place, and the window closure enumerates basic opens over a
+finite window.  The test suite uses them to cross-check the constructive
+algorithms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import takewhile
 from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
-from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO, scale
+from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO
 from .adele import _check_kind, _default_primes, _governed_by_default
 from .padic import Prime, valuation
 
@@ -82,50 +83,50 @@ def witness_by_search(
 
     The scan is lazy: each (denominator, sign) pair streams its reduced
     fractions in key order (height, numerator, denominator, + before -)
-    and ``heapq.merge`` interleaves the streams, so a candidate is built
-    only when every candidate before it has failed.  Shortcuts that keep
-    the answer: constraints independent of r are checked once up front; a
-    nonzero real coordinate clips each stream's numerator range to the
-    real interval by integer floor division (an empty range builds no
-    stream); only candidates every ball admits, tested in integers on
-    r * a_p, reach ``nbhd.contains(scale(r, a))``.
+    and ``heapq.merge`` interleaves them, so a candidate is built only
+    when every candidate before it has failed.  Membership never builds
+    r * a: the real interval clips each stream's numerator range by
+    integer floor division (an empty range builds no stream), and each
+    place where r * a can fail tests its ball, Z_p = B(0, 0) where nbhd
+    has none, in integers.  Constraints independent of r are checked
+    once up front.
     """
     full = _check_kind(a, nbhd)
 
     # A ball admits r = m / d iff p ** (radius + v_p(B*D) + v_p(d)), when > 1,
     # divides m*A*D - d*B*C, the numerator of r * a_p - C / D over d*B*D, for
-    # a_p = A / B and centre C / D.  gcd(d, p ** bits) is p ** v_p(d).
-    bits, balls = budget.height_bound.bit_length(), []
-    for p, ball in nbhd.balls.items():
-        (A, B), (C, D) = a.component(p).as_integer_ratio(), ball.center.as_integer_ratio()
-        k = ball.radius_exponent + valuation(B * D, p)
+    # a_p = A / B and centre C / D; gcd(d, p ** bits) is p ** v_p(d).  Off the
+    # listed places no candidate has a denominator and a_p is integral.
+    primes = _allowed_denominator_primes(a, budget)
+    bits, places = budget.height_bound.bit_length(), []
+    for p in sorted(nbhd.balls.keys() | a.explicit.keys() | set(primes)):
+        ball = nbhd.balls.get(p)
+        centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
+        (A, B), (C, D) = a.component(p).as_integer_ratio(), centre.as_integer_ratio()
+        k = radius + valuation(B * D, p)
         if A:
-            balls.append((p ** bits, p ** max(k, 0), p ** max(-k, 0), A * D, B * C))
-        elif not ball.contains(0):  # a vanishing coordinate never moves
+            places.append((p ** bits, p ** max(k, 0), p ** max(-k, 0), A * D, B * C))
+        elif C % p ** max(k, 0):  # a vanishing coordinate never moves
             return None
     if full and a.real_part == 0 and not nbhd.real_interval[0] < 0 < nbhd.real_interval[1]:
         return None
 
-    denominators = _smooth_denominators(
-        _allowed_denominator_primes(a, budget), budget.height_bound, budget.precision
-    )
-    clipped = full and a.real_part != 0
+    denominators = _smooth_denominators(primes, budget.height_bound, budget.precision)
     streams = []
     for sign in (1, -1) if full else (1,):
-        if clipped:
-            # r * a_oo in (lo, hi) puts n / d in (x, y), so n in (x * d, y * d)
-            x, y = sorted(end / (sign * a.real_part) for end in nbhd.real_interval)
+        # r * a_oo in (lo, hi) puts n / d in (x, y), so n in (x * d, y * d)
+        ends = (0, budget.height_bound + 1)  # clips nothing
+        if full and a.real_part != 0:
+            ends = sorted(end / (sign * a.real_part) for end in nbhd.real_interval)
+        (xn, xd), (yn, yd) = (end.as_integer_ratio() for end in ends)
         for d in denominators:
-            first, last = 1, budget.height_bound
-            if clipped:
-                first = max(first, x.numerator * d // x.denominator + 1)
-                last = min(last, -(-y.numerator * d // y.denominator) - 1)
+            first = max(1, xn * d // xd + 1)
+            last = min(budget.height_bound, -(-yn * d // yd) - 1)
             if first <= last:
                 streams.append(_reduced_fractions(d, sign < 0, first, last))
     for _, n, d, negative in heapq.merge(*streams):
         m = -n if negative else n
-        admitted = not any((m * ad - d * bc) % max(1, gcd(d, big) * up // down) for big, up, down, ad, bc in balls)
-        if admitted and nbhd.contains(scale(Fraction(m, d), a)):
+        if not any((m * ad - d * bc) % max(1, gcd(d, big) * up // down) for big, up, down, ad, bc in places):
             return Fraction(m, d)
     return None
 

@@ -268,7 +268,6 @@ class ClosedSetDescriptor:
         return f"ClosedSetDescriptor({', '.join(parts) or 'empty'})"
 
 
-EMPTY_CLOSED = ClosedSetDescriptor()
 WHOLE_SPACE = ClosedSetDescriptor(whole_space=True)
 
 
@@ -298,7 +297,6 @@ class _Space:
     base: Optional[str]  # the base of its prime sets; None admits either base
     units: bool  # unit ideles are points
     group: Optional[str]  # Q_PLUS or Q_FULL; None: no characters
-    proper: bool  # the full prime set is excluded
 
 
 # One rule set serves all four spaces:
@@ -316,10 +314,10 @@ class _Space:
 # * every neighbourhood of a character contains all the proper prime sets,
 #   so a nonempty prime-set part drags the whole character group into its
 #   closure, while finite character sets are closed.
-_PC = _Space("the power-cofinite space", None, units=False, group=None, proper=False)
-_TAU = _Space("the tau space", EXTENDED_PRIMES, units=True, group=None, proper=False)
-_PRIMCQ = _Space("the finite-adele Prim space", FINITE_PRIMES, units=False, group=Q_PLUS, proper=True)
-_PRIMFULL = _Space("the full-adele Prim space", EXTENDED_PRIMES, units=True, group=Q_FULL, proper=True)
+_PC = _Space("the power-cofinite space", None, units=False, group=None)
+_TAU = _Space("the tau space", EXTENDED_PRIMES, units=True, group=None)
+_PRIMCQ = _Space("the finite-adele Prim space", FINITE_PRIMES, units=False, group=Q_PLUS)
+_PRIMFULL = _Space("the full-adele Prim space", EXTENDED_PRIMES, units=True, group=Q_FULL)
 
 _GROUP_NAMES = {Q_PLUS: "positive rationals", Q_FULL: "full rational group"}
 
@@ -381,7 +379,7 @@ def _close(space: _Space, data: _DescriptorInput) -> ClosedSetDescriptor:
                 f"prime sets of {space.name} live over the {space.base.replace('_', ' ')}, "
                 f"got {s.base.replace('_', ' ')}"
             )
-        if space.proper and s.is_whole_base:
+        if space.group and s.is_whole_base:  # characters stand in for the full prime set
             raise ImproperPoint(f"the full prime set is not a point of {space.name}")
     for c in characters:
         if c.group != space.group:

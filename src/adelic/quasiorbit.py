@@ -186,9 +186,9 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
 
     The algorithm mirrors the constructive orbit-closure proofs.  Each
     ball constraint at a prime p with nonvanishing component is rewritten
-    as a ball for r itself; once the denominator is fixed, its centre is
-    p-integral and the ball becomes one congruence on the numerator
-    (padic._congruence), and the congruences are merged by crt_solve.
+    as a ball for r itself, a triple (p, e, gamma); once the denominator
+    is fixed, _pick_numerator turns each triple into one congruence on
+    the numerator and merges them by crt_solve.
     Off the balls r * a_p must be integral, which is the ball B(0, 0):
     the explicit primes without a ball go through the same rewrite.
     For full adeles with a nonzero real coordinate the denominator is
@@ -258,22 +258,24 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     # then holds two terms, at most one of them 0: this runs at most twice.
     while True:
         denominator = denominator_core * tail_factor
-        congruences = [_congruence(p, gamma * denominator, e) for p, e, gamma in cong_data]
         bounds = (0, math.inf)
         if tail_primes is not None:
             bounds = (lo * denominator / a.real_part, hi * denominator / a.real_part)
-        numerator = _pick_numerator(congruences, bounds)
+        numerator = _pick_numerator(cong_data, denominator, bounds)
         if numerator is not None:
             return _verified(Fraction(numerator, denominator), a, nbhd)
         tail_factor *= next(tail_primes)
 
 
-def _pick_numerator(congruences, bounds) -> Optional[int]:
-    """The first nonzero term of the CRT solution progression strictly
-    between the bounds (the ends of an open interval, in either order),
-    or None when there is none.  Bounds (0, math.inf) give the smallest
-    positive solution.
+def _pick_numerator(cong_data, denominator: int, bounds) -> Optional[int]:
+    """The first nonzero numerator n strictly between the bounds (the ends
+    of an open interval, in either order) with n / denominator in the
+    ball B(gamma, e) of each (p, e, gamma) triple, or None.  The
+    denominator makes gamma * denominator p-integral, so each triple is
+    one congruence on n.  Bounds (0, math.inf) give the smallest positive
+    solution.
     """
+    congruences = [_congruence(p, gamma * denominator, e) for p, e, gamma in cong_data]
     base = crt_solve(congruences)
     modulus = math.prod(m for _, m in congruences)
     first, last = sorted(bounds)
@@ -296,26 +298,22 @@ def _closed_orbit_search(a: FullAdele, nbhd: Neighbourhood) -> Fraction:
     B(c_p / u_p, e_p), which forces v_p(t) >= min(e_p, v_p(c_p)); off the
     balls t must be integral.  So t = n / D with D = prod
     p^-min(e_p, v_p(c_p)) over the balls where that exponent is negative,
-    and each ball becomes the congruence n in B(D * c_p / u_p,
-    e_p + v_p(D)), whose centre is p-integral.  The first nonzero
-    progression term in the real interval is the smallest such n, or
-    there is none and the orbit misses the neighbourhood.
+    and each ball is the triple (p, e_p + v_p(D), c_p / u_p) of
+    _pick_numerator, a congruence on n.  The first nonzero progression
+    term in the real interval is the smallest such n, or there is none
+    and the orbit misses the neighbourhood.
     """
     r0 = _idele_rational(a)
-    shifts = {
-        p: max(0, -min(ball.radius_exponent, valuation(ball.center, p)))
-        for p, ball in nbhd.balls.items()
-    }
-    denominator = math.prod(int(p) ** k for p, k in shifts.items())
-    congruences = []
+    cong_data, denominator = [], 1
     for p, ball in nbhd.balls.items():
-        e = ball.radius_exponent + shifts[p]
-        if e >= 1:
-            # c_p * D / u_p with u_p = a_p / r0
-            congruences.append(_congruence(p, ball.center * denominator * r0 / a.component(p), e))
+        shift = max(0, -min(ball.radius_exponent, valuation(ball.center, p)))
+        denominator *= int(p) ** shift
+        if ball.radius_exponent + shift >= 1:
+            # c_p / u_p with u_p = a_p / r0
+            cong_data.append((p, ball.radius_exponent + shift, ball.center * r0 / a.component(p)))
     lo, hi = nbhd.real_interval
     u_inf = a.real_part / r0
-    n = _pick_numerator(congruences, (lo * denominator / u_inf, hi * denominator / u_inf))
+    n = _pick_numerator(cong_data, denominator, (lo * denominator / u_inf, hi * denominator / u_inf))
     if n is None:
         raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
     return _verified(Fraction(n, denominator) / r0, a, nbhd)

@@ -118,6 +118,10 @@ class TestScale:
         assert b.component(3) == F(1, 3)
         assert b.default == DefaultSpec.rational(F(1, 3))
 
+    def test_zero_factor_rejected(self):
+        with pytest.raises(ValueError):
+            scale(0, embed_rational(1))
+
     @given(small_nonzero, small_nonzero)
     def test_action_composes(self, r, s):
         a = full({5: F(5), 7: F(0)}, DefaultSpec.rational(5), F(3))
@@ -300,6 +304,10 @@ class TestNeighbourhood:
     def test_interval_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Neighbourhood({}, real_interval=(F(1), F(1)))
+
+    def test_ball_must_sit_at_its_key(self):
+        with pytest.raises(ValueError):
+            Neighbourhood({3: PadicBall(2, F(0), 1)})
 
 
 PRIMES = (2, 3, 5, 7)

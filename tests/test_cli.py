@@ -248,6 +248,29 @@ class TestErrorHandling:
         code, doc = invoke(capsys, "factor", "--adele", adele)
         assert code == 2 and doc["error"]["code"] == "not_invertible"
 
+    def test_zero_bounds_are_invalid_input(self, capsys):
+        for argv in (["oracle-witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--height-bound", "0"],
+                     ["expand", "--q", "1", "--p", "2", "--k", "0"]):
+            code, doc = invoke(capsys, *argv)
+            assert code == 1 and doc["error"]["code"] == "invalid_input"
+
+    # each of these used to report a Python internal ('q', 'int' object is
+    # not iterable, unhashable type: 'list') instead of the field
+    MALFORMED = [
+        (["zero-set", "--adele", '{"explicit":{},"default":{"kind":"rational"}}'], "missing keys ['q']"),
+        (["specializes", "--x", '{"kind":"prime_set"}', "--y", '{"kind":"prime_set"}'], "missing keys ['set']"),
+        (["tau-closure", "--descriptor", '{"atoms":5}'], "atoms must be a JSON list, got int"),
+        (["primfull-closure", "--descriptor", '{"atoms":[{"kind":"unit_family","prefix":5,"inf_abs_zero":false}]}'],
+         "prefix must be a JSON list, got int"),
+        (["pc-closure", "--points", '[{"base":["finite"],"kind":"finite","members":[]}]'], "unknown base ['finite']"),
+        (["tau-closure", "--descriptor", '{"atoms":[{"kind":"singleton_family","excluded":[],"base":["finite"]}]}'],
+         "unknown base ['finite']"),
+    ]
+
+    def test_malformed_documents_name_the_field(self, capsys):
+        for argv, detail in self.MALFORMED:
+            assert invoke(capsys, *argv) == (1, {"error": {"code": "invalid_input", "detail": detail}})
+
     def test_unknown_flag(self, capsys):
         assert main(["abs", "--bogus", "1"]) == 1
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic import adele, padic
 from adelic.adele import (
+    EXTENDED_PRIMES,
     DefaultSpec,
     FiniteAdele,
     FullAdele,
@@ -15,7 +18,7 @@ from adelic.adele import (
     scale,
 )
 from adelic.errors import ClosedOrbitMiss, Infeasible
-from adelic.oracle import SearchBudget, window_closure, witness_by_search
+from adelic.oracle import SearchBudget, _allowed_denominator_primes, window_closure, witness_by_search
 from adelic.padic import INFINITY, PadicBall, Prime, is_prime
 from adelic.quasiorbit import approx_witness
 
@@ -61,6 +64,16 @@ class TestWitnessSearch:
         a = embed_rational(1)
         nbhd = Neighbourhood({2: PadicBall(2, F(0), -1), 3: PadicBall(3, F(1, 2), 2)})
         assert witness_by_search(a, nbhd, SearchBudget(height_bound=10)) == F(1, 2)
+
+    def test_explicit_prime_outside_the_window(self):
+        # 1 leaves 1/17 at 17, which Z_17 excludes; 17 is the first member
+        a = finite({17: F(1, 17)}, DefaultSpec.rational(1))
+        nbhd = Neighbourhood({2: PadicBall(2, F(1), 1)})
+        assert witness_by_search(a, nbhd, SearchBudget(100)) == 17
+
+    def test_zero_height_bound_rejected(self):
+        with pytest.raises(ValueError):
+            SearchBudget(height_bound=0)
 
     def test_kind_discipline(self):
         with pytest.raises(ValueError):
@@ -128,6 +141,93 @@ class TestSearchOrder:
         window = frozenset(p for p in range(2, height + 1) if is_prime(p))
         budget = SearchBudget(height_bound=height, prime_window=window, precision=height.bit_length())
         assert witness_by_search(a, nbhd, budget) == first_member_by_height(a, nbhd, height)
+
+
+fractions_to_23 = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 5, 7, 11, 17, 23]))
+
+
+@st.composite
+def narrow_instances(draw):
+    """A search instance under a narrow budget: a window inside {2, 3, 5},
+    precision 1-3, and explicit entries at primes up to 23, most of them
+    outside the window, so that a candidate can fail at a prime no ball
+    and no window names."""
+    a, nbhd, height = draw(search_instances())
+    entries = draw(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), fractions_to_23, max_size=3))
+    fin = FiniteAdele({**a.explicit, **entries}, a.default)
+    a = FullAdele(fin, a.real_part) if isinstance(a, FullAdele) else fin
+    window = draw(st.sets(st.sampled_from([2, 3, 5]), min_size=1))
+    return a, nbhd, SearchBudget(height, frozenset(window), draw(st.integers(1, 3)))
+
+
+def first_member_of_budget(a, nbhd, budget):
+    """The reference: every admissible +-n/d, sorted by (height, numerator,
+    denominator, + before -), each tested with nbhd.contains(scale(r, a))."""
+    primes, height = _allowed_denominator_primes(a, budget), budget.height_bound
+
+    def admissible(d):
+        for p in primes:
+            for _ in range(budget.precision):
+                d = d // p if d % p == 0 else d
+        return d == 1
+
+    full = isinstance(a, FullAdele)
+    keys = sorted(
+        (max(n, d), n, d, sign < 0)
+        for d in range(1, height + 1)
+        if admissible(d)
+        for n in range(1, height + 1)
+        if gcd(n, d) == 1
+        for sign in ((1, -1) if full else (1,))
+    )
+    for _, n, d, negative in keys:
+        r = F(-n if negative else n, d)
+        if nbhd.contains(scale(r, a)):
+            return r
+    return None
+
+
+class TestMembershipPlaces:
+    @settings(deadline=None)
+    @given(narrow_instances())
+    def test_matches_scale_and_contains(self, instance):
+        a, nbhd, budget = instance
+        assert witness_by_search(a, nbhd, budget) == first_member_of_budget(a, nbhd, budget)
+
+    CASES = {
+        "finite": (embed_rational(1), Neighbourhood({2: PadicBall(2, F(0), 3), 3: PadicBall(3, F(1), 1)}), 100, F(16)),
+        "clipped full": (
+            full({2: F(0)}, DefaultSpec.rational(1), F(1)),
+            Neighbourhood({3: PadicBall(3, F(2), 1)}, real_interval=(F(5), F(6))),
+            60,
+            F(23, 4),
+        ),
+        "zero-real full": (
+            full({2: F(1, 2)}, DefaultSpec.rational(1), F(0)),
+            Neighbourhood({3: PadicBall(3, F(2), 1)}, real_interval=(F(-1), F(1))),
+            60,
+            F(2),
+        ),
+        "times_p": (finite({}, DefaultSpec.times_p(1)), Neighbourhood({2: PadicBall(2, F(1), 1)}), 50, F(1, 2)),
+        "zero": (finite({3: F(1, 3)}, DefaultSpec.zero()), Neighbourhood({3: PadicBall(3, F(1), 1)}), 50, F(3)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_builds_no_scaled_adele(self, case, monkeypatch):
+        a, nbhd, height, expected = self.CASES[case]
+        assert nbhd.contains(scale(expected, a))
+
+        def forbidden(*args):
+            raise AssertionError("membership must not build r * a")
+
+        for original in (adele.scale, padic.prime_factors):
+            for name, module in list(sys.modules.items()):
+                if name == "adelic" or name.startswith("adelic."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, forbidden)
+        monkeypatch.setattr(Neighbourhood, "contains", forbidden)
+        assert witness_by_search(a, nbhd, SearchBudget(height)) == expected
 
 
 class TestOracleAgainstConstruction:
@@ -206,3 +306,7 @@ class TestWindowClosure:
     def test_cofinite_rejected(self):
         with pytest.raises(ValueError):
             window_closure([PrimeSet.cofinite()], {2})
+
+    def test_points_of_two_bases_rejected(self):
+        with pytest.raises(ValueError):
+            window_closure([PrimeSet.finite({2}), PrimeSet.finite({2}, base=EXTENDED_PRIMES)], {2})

@@ -119,6 +119,10 @@ class TestExpand:
         # p^v * residue must agree with q modulo p^(v+k)
         assert valuation(q - t.reconstruct(), p) >= v + k
 
+    def test_precision_must_be_positive(self):
+        with pytest.raises(ValueError):
+            expand(1, 2, 0)
+
     def test_residue_validation(self):
         with pytest.raises(ValueError):
             TruncatedPadic(Prime(2), 0, 2, 3)  # residue divisible by p
@@ -190,6 +194,10 @@ class TestCrt:
     def test_non_coprime(self):
         with pytest.raises(NonCoprimeModuli):
             crt_solve([(1, 4), (2, 8)])
+
+    def test_modulus_must_be_positive(self):
+        with pytest.raises(ValueError):
+            crt_solve([(1, 0)])
 
     @given(
         st.lists(

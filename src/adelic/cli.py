@@ -7,6 +7,10 @@ adele, ...) and 1 malformed input; errors carry a payload
 ``{"error": {"code": ..., "detail": ...}}``.  Output is canonical: sorted
 keys, reduced rationals, byte-identical for identical argv.  The
 subcommands are defined in one table, ``COMMANDS``.
+
+A request that names a subcommand is parsed with only that subcommand's
+flags.  Help, usage errors and unknown commands go through the parser of
+all subcommands, ``build_parser()``, so their text is the same either way.
 """
 
 from __future__ import annotations
@@ -209,6 +213,13 @@ COMMANDS = {
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    for flag in flags:
+        name, options = (flag, {"required": True}) if isinstance(flag, str) else flag
+        parser.add_argument(name, **options)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adele",
@@ -216,36 +227,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        for flag in flags:
-            name, options = (flag, {"required": True}) if isinstance(flag, str) else flag
-            p.add_argument(name, **options)
+        _add_flags(sub.add_parser(command, help=help_text), flags)
     return parser
 
 
-def _run(args) -> Dict:
-    return COMMANDS[args.command][2](args)
+class _Unanswered(Exception):
+    """A request that only the full parser can answer: help or a usage error."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One subcommand's parser that prints nothing: help and usage errors
+    raise, so that ``build_parser()`` prints exactly what it always has."""
+
+    def error(self, message):
+        raise _Unanswered
+
+    def print_help(self, file=None):
+        raise _Unanswered
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` with only its command's flags when it names one,
+    which costs a small fraction of building all 21 subparsers."""
+    if argv and argv[0] in COMMANDS:
+        parser = _CommandParser(prog=f"adele {argv[0]}")
+        _add_flags(parser, COMMANDS[argv[0]][1])
+        try:
+            return argparse.Namespace(command=argv[0], **vars(parser.parse_args(argv[1:])))
+        except _Unanswered:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors; the contract reserves 2 for
         # domain errors, so usage problems report as malformed input
         return 1 if exc.code else 0
-    pretty = getattr(args, "pretty", False)
     try:
-        doc = _run(args)
+        doc = COMMANDS[args.command][2](args)
     except AdelicError as exc:
-        _dump({"error": {"code": exc.code, "detail": str(exc)}}, pretty)
+        _dump({"error": {"code": exc.code, "detail": str(exc)}}, args.pretty)
         return 2
     except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
-        _dump({"error": {"code": "invalid_input", "detail": str(exc)}}, pretty)
+        _dump({"error": {"code": "invalid_input", "detail": str(exc)}}, args.pretty)
         return 1
-    _dump(doc, pretty)
+    _dump(doc, args.pretty)
     return 0
 
 

@@ -220,10 +220,10 @@ def dump_neighbourhood(v: Neighbourhood) -> Dict:
 def parse_parameter_point(doc: Dict) -> ParameterPoint:
     _require_keys(doc, ["kind"], ["set", "unit"])
     if doc["kind"] == "prime_set":
-        _require_keys(doc, ["kind", "set"], ["unit"])
+        _require_keys(doc, ["kind", "set"])
         return ParameterPoint.of_prime_set(parse_prime_set(doc["set"]))
     if doc["kind"] == "unit_class":
-        _require_keys(doc, ["kind", "unit"], ["set"])
+        _require_keys(doc, ["kind", "unit"])
         return ParameterPoint.of_unit(parse_unit_idele(doc["unit"]))
     raise ValueError(f"unknown parameter point kind {doc['kind']!r}")
 

@@ -3,11 +3,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import adelic
-from adelic import jsonio
+from adelic import cli, jsonio
 from adelic.cli import build_parser, main
 from adelic.oracle import DEFAULT_WINDOW
+from test_cli_golden import GOLDEN
 
 F = Fraction
 
@@ -271,6 +275,16 @@ class TestErrorHandling:
         for argv, detail in self.MALFORMED:
             assert invoke(capsys, *argv) == (1, {"error": {"code": "invalid_input", "detail": detail}})
 
+    def test_parameter_point_rejects_the_other_kinds_payload(self, capsys):
+        prime_set = {"kind": "prime_set", "set": {"base": "extended", "kind": "finite", "members": ["2"]}}
+        unit = {"explicit": {}, "default": {"kind": "rational", "q": "1"}, "real": "1"}
+        unit_class = {"kind": "unit_class", "unit": unit}
+        for point, other in ((prime_set, {"unit": {"bogus": 1}}), (unit_class, {"set": {"bogus": 1}})):
+            x = json.dumps({**point, **other})
+            code, doc = invoke(capsys, "specializes", "--x", x, "--y", json.dumps(point))
+            assert code == 1 and doc["error"]["code"] == "invalid_input"
+            assert invoke(capsys, "specializes", "--x", json.dumps(point), "--y", json.dumps(point))[0] == 0
+
     def test_unknown_flag(self, capsys):
         assert main(["abs", "--bogus", "1"]) == 1
 
@@ -323,3 +337,113 @@ class TestRoundTrips:
         assert code == 0 and point["kind"] == "unit_class"
         code, doc = invoke(capsys, "abs", "--adele", json.dumps(point["unit"]))
         assert code == 0 and doc == {"abs": "1"}
+
+
+# argvs that argparse answers itself: help, usage errors, unknown commands
+USAGE = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--pretty", "abs", "--adele", ADELE_38],
+    ["abs"],
+    ["abs", "-h"],
+    ["abs", "--adele", ADELE_38, "--help"],
+    ["abs", "--adele"],
+    ["abs", "--adele", ADELE_38, "extra"],
+    ["abs", "--adele", ADELE_38, "--bogus", "1"],
+    ["abs", "--", "--adele", ADELE_38],
+    ["abs", "-p", "--adele", ADELE_38],
+    ["witness", "--adele", CASE_ONE_ADELE],
+    ["witness", "--help"],
+    ["valuation", "--q", "12", "--p", "two"],
+    ["oracle-witness", "--he", "3"],
+    ["oracle-witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--he", "50"],
+    ["expand", "-h", "--q", "1"],
+]
+# argvs that parse on either path, in forms argparse also accepts
+ACCEPTED = [
+    ["abs", "--adel", ADELE_38],
+    ["abs", "--adele", "{}", "--adele", ADELE_38],
+    ["abs", "--pre", "--adele=" + ADELE_38],
+    ["witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--div"],
+    ["valuation", "--q", "-1", "--p", "2"],
+]
+
+
+def transcript(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # main maps argparse's exits to codes; a leak still reports
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParsePaths:
+    """A request naming a subcommand is parsed with that command's flags
+    alone; what it prints must match parsing with the full parser."""
+
+    def test_both_paths_print_the_same(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        corpus = [argv for argv, _, _ in GOLDEN] + USAGE + ACCEPTED
+        fast = [transcript(capsys, argv) for argv in corpus]
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        reference = [transcript(capsys, argv) for argv in corpus]
+        for argv, got, want in zip(corpus, fast, reference):
+            assert got == want, argv
+
+    def test_requests_never_build_the_full_parser(self, capsys, monkeypatch):
+        first = {}
+        for argv, code, stdout in GOLDEN:
+            if code == 0:
+                first.setdefault(argv[0], (argv, stdout))
+        assert set(first) == set(cli.COMMANDS)
+
+        def refuse():
+            raise AssertionError("built the full parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv, stdout in first.values():
+            assert transcript(capsys, argv) == (0, stdout, ""), argv
+
+    def test_help_and_usage_errors_build_the_full_parser(self, capsys, monkeypatch):
+        calls = []
+        full = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return full()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in USAGE:
+            calls.clear()
+            transcript(capsys, argv)
+            assert calls == [1], argv
+
+
+TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts"
+
+
+class TestUsageTranscripts:
+    """The bytes argparse prints for help and usage errors, at 80 columns.
+
+    To accept a deliberate change, rerun the command and overwrite its file,
+    e.g. ``COLUMNS=80 PYTHONPATH=src python -m adelic.cli --help >
+    tests/cli_transcripts/help.txt``.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, name",
+        [
+            (["--help"], 0, "out", "help.txt"),
+            (["witness", "--help"], 0, "out", "witness_help.txt"),
+            (["witness", "--adele", CASE_ONE_ADELE], 1, "err", "witness_missing_nbhd.txt"),
+        ],
+    )
+    def test_transcript(self, capsys, monkeypatch, argv, code, stream, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        got_code, out, err = transcript(capsys, argv)
+        expected = (TRANSCRIPTS / name).read_text()
+        assert got_code == code
+        assert (out, err) == ((expected, "") if stream == "out" else ("", expected))

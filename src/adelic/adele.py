@@ -380,12 +380,14 @@ class Neighbourhood:
     def contains(self, a: Adele) -> bool:
         """Exact membership of a finitely described adele."""
         full = _check_kind(a, self)
+        explicit, default = a.explicit, a.default
         for p, ball in self.balls.items():
-            if not ball.contains(a.component(p)):
+            v = explicit.get(p)
+            if not ball.contains(default.value_at(p) if v is None else v):
                 return False
-        # defaults are integral by construction; only explicit entries can stray
-        for p, v in a.explicit.items():
-            if p not in self.balls and valuation(v, p) < 0:
+        # defaults are integral by construction; an explicit v strays where p divides its denominator
+        for p, v in explicit.items():
+            if p not in self.balls and v.denominator % p == 0:
                 return False
         if full:
             lo, hi = self.real_interval

@@ -46,11 +46,10 @@ from .quasiorbit import (
 )
 
 
-def _dump(doc: Dict, pretty: bool) -> None:
+def _encode(doc: Dict, pretty: bool) -> str:
     if pretty:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _valuation_doc(v) -> Any:
@@ -268,16 +267,15 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; the contract reserves 2 for
         # domain errors, so usage problems report as malformed input
         return 1 if exc.code else 0
+    # encoding fails past Python's digit limit on int to str, so it is inside the try
     try:
-        doc = COMMANDS[args.command][2](args)
+        text, status = _encode(COMMANDS[args.command][2](args), args.pretty), 0
     except AdelicError as exc:
-        _dump({"error": {"code": exc.code, "detail": str(exc)}}, args.pretty)
-        return 2
+        text, status = _encode({"error": {"code": exc.code, "detail": str(exc)}}, args.pretty), 2
     except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
-        _dump({"error": {"code": "invalid_input", "detail": str(exc)}}, args.pretty)
-        return 1
-    _dump(doc, args.pretty)
-    return 0
+        text, status = _encode({"error": {"code": "invalid_input", "detail": str(exc)}}, args.pretty), 1
+    print(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -4,11 +4,15 @@ Valuations, expansions of rationals, decidable ball membership and a
 Chinese Remainder solver.  Every value is backed by an exact rational;
 truncation happens only when digits are extracted, so all predicates in
 this module are decidable.  All types are immutable and all operations
-are pure functions, safe for concurrent use.
+are pure functions, safe for concurrent use.  The one shared prime list
+behind ``iter_primes`` grows by rebinding a longer tuple, so a walk that
+indexes an older one still reads a complete run of primes.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,34 +108,45 @@ def extended_prime_key(p: ExtendedPrime) -> Tuple[int, int]:
     return (0, int(p))
 
 
+#: Every prime up to the last one listed, ascending; see the module docstring.
+_PRIMES: Tuple[Prime, ...] = (int.__new__(Prime, 2),)
+
+
 def iter_primes(start: int = 2) -> Iterator[Prime]:
-    """Yield the primes >= start in increasing order, forever."""
-    n = max(2, start)
-    while True:
+    """Yield the primes >= start in increasing order, forever: from the
+    shared list, doubled when a walk runs off its end, or past it by testing."""
+    global _PRIMES
+    primes = _PRIMES
+    n = start
+    while n > primes[-1]:  # beyond the list: test each integer, forever
         if is_prime(n):
             yield int.__new__(Prime, n)  # proven prime just now: skip Prime's own test
         n += 1
+    i = bisect.bisect_left(primes, start)
+    while True:
+        if i == len(primes):
+            primes = _PRIMES  # perhaps grown by another walk
+            if len(primes) <= i:
+                primes = _PRIMES = primes + tuple(itertools.islice(iter_primes(primes[-1] + 1), i))
+        yield primes[i]
+        i += 1
 
 
 def prime_factors(n: int) -> dict:
-    """Factor a nonzero integer into {Prime: multiplicity} by trial division."""
+    """Factor a nonzero integer into {Prime: multiplicity} by trial division,
+    which stops once the cofactor passes the primality test (below 2**64)."""
     if n == 0:
         raise ValueError("cannot factor zero")
-    n = abs(n)
-    out = {}
-    for d in (2, 3):
-        while n % d == 0:
-            out[Prime(d)] = out.get(Prime(d), 0) + 1
-            n //= d
-    d = 5
-    while d * d <= n:
-        for step in (d, d + 2):
-            while n % step == 0:
-                out[Prime(step)] = out.get(Prime(step), 0) + 1
-                n //= step
-        d += 6
+    n, out, d = abs(n), {}, 2
+    cofactor_prime = n < _PRIMALITY_LIMIT and is_prime(n)
+    while not cofactor_prime and d * d <= n:
+        if n % d == 0:
+            out[Prime(d)] = k = _int_valuation(n, d)
+            n //= d**k
+            cofactor_prime = n < _PRIMALITY_LIMIT and is_prime(n)
+        d += 2 if d > 2 else 1
     if n > 1:
-        out[Prime(n)] = out.get(Prime(n), 0) + 1
+        out[Prime(n)] = 1
     return out
 
 
@@ -165,9 +180,9 @@ def valuation(q: Rational, p) -> Valuation:
     >>> valuation(Fraction(2, 9), 3)
     -2
     """
-    p = Prime(p)
-    q = Fraction(q)
-    if q == 0:
+    p = p if isinstance(p, Prime) else Prime(p)
+    q = q if isinstance(q, Fraction) else Fraction(q)
+    if q.numerator == 0:
         return INFINITE_VALUATION
     return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
 
@@ -211,11 +226,11 @@ class TruncatedPadic:
         return Fraction(self.prime) ** self.valuation * self.unit_residue
 
 
-def _congruence(p: int, centre: Fraction, e: int) -> Tuple[int, int]:
-    """The integers in the ball B(centre, e) around a p-integral centre,
-    e >= 1, as one congruence (residue, p**e)."""
+def _congruence(p: int, num: int, den: int, e: int) -> Tuple[int, int]:
+    """The integers in the ball B(num / den, e) around a p-integral centre
+    (p does not divide den), e >= 1, as one congruence (residue, p**e)."""
     modulus = p**e
-    return centre.numerator * pow(centre.denominator, -1, modulus) % modulus, modulus
+    return num * pow(den, -1, modulus) % modulus, modulus
 
 
 def expand(q: Rational, p, precision: int) -> TruncatedPadic:
@@ -230,7 +245,8 @@ def expand(q: Rational, p, precision: int) -> TruncatedPadic:
     v = valuation(q, p)
     if v == INFINITE_VALUATION:
         return TruncatedPadic(p, INFINITE_VALUATION, None, precision)
-    residue, _ = _congruence(p, q * Fraction(p) ** -v, precision)
+    unit = q * Fraction(p) ** -v
+    residue, _ = _congruence(p, unit.numerator, unit.denominator, precision)
     return TruncatedPadic(p, v, residue, precision)
 
 
@@ -239,7 +255,7 @@ class PadicBall:
     """The set {x : |x - center|_p <= p**-radius_exponent}.
 
     Membership of a rational x is decided exactly via
-    valuation(x - center, p) >= radius_exponent.
+    valuation(x - center, p) >= radius_exponent, read on integers.
     """
 
     prime: Prime
@@ -251,7 +267,11 @@ class PadicBall:
         object.__setattr__(self, "center", Fraction(self.center))
 
     def contains(self, x: Rational) -> bool:
-        return valuation(Fraction(x) - self.center, self.prime) >= self.radius_exponent
+        x, c = (x if isinstance(x, Fraction) else Fraction(x)), self.center
+        # x - c = diff / (x_den * c_den) unreduced, and valuation is additive
+        diff = x.numerator * c.denominator - c.numerator * x.denominator
+        den_v = _int_valuation(x.denominator * c.denominator, self.prime)
+        return diff == 0 or _int_valuation(abs(diff), self.prime) - den_v >= self.radius_exponent
 
 
 def ball_contains(ball: PadicBall, x: Rational) -> bool:
@@ -277,7 +297,7 @@ def integer_in_ball(ball: PadicBall) -> int:
         )
     if ell <= 0:
         return 0
-    return _congruence(p, ball.center, ell)[0]
+    return _congruence(p, ball.center.numerator, ball.center.denominator, ell)[0]
 
 
 def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:

@@ -209,44 +209,49 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     if full and is_invertible(a):
         return _closed_orbit_search(a, nbhd)
 
-    # rewrite each ball constraint as a congruence datum for r
-    cong_data = []  # (p, exponent, center of the r-ball scaled by D later)
-    denominator_core = 1
-    for p in sorted(nbhd.balls.keys() | a.explicit.keys()):
-        ball = nbhd.balls.get(p)
-        centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
-        a_p, v_centre = a.component(p), valuation(centre, p)
-        if a_p == 0:
-            # a vanishing coordinate can only meet a ball through 0
-            if v_centre < radius:
-                raise Infeasible(
-                    f"component at p={int(p)} vanishes but the ball excludes 0"
-                )
-            continue  # feasible ball, satisfied by every r
-        alpha = valuation(a_p, p)
-        m = radius - alpha
-        beta = v_centre - alpha  # v_p(gamma) for gamma = centre / a_p
-        d_p = max(0, -beta) if beta < m else 0
-        denominator_core *= int(p) ** d_p
-        e_p = m + d_p
-        if e_p >= 1:
-            cong_data.append((p, e_p, centre / a_p))
+    # a vanishing coordinate meets a ball only through 0 (B(0, 0) off the balls holds it)
+    for p, ball in nbhd.balls.items():
+        if a.component(p) == 0 and not ball.contains(0):
+            raise Infeasible(f"component at p={int(p)} vanishes but the ball excludes 0")
     if full:
         lo, hi = nbhd.real_interval
         if a.real_part == 0 and not lo < 0 < hi:
             raise Infeasible("real part vanishes but the interval excludes 0")
 
+    # rewrite each ball constraint as a congruence datum for r
+    cong_data = []  # (p, exponent, center of the r-ball scaled by D later)
+    denominator_core = 1
+    for p in sorted(nbhd.balls.keys() | a.explicit.keys()):
+        a_p = a.component(p)
+        if a_p == 0:
+            continue  # a feasible ball, satisfied by every r
+        ball = nbhd.balls.get(p)
+        centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
+        alpha = valuation(a_p, p)
+        m = radius - alpha
+        beta = valuation(centre, p) - alpha  # v_p(gamma) for gamma = centre / a_p
+        d_p = max(0, -beta) if beta < m else 0
+        denominator_core *= int(p) ** d_p
+        e_p = m + d_p
+        if e_p >= 1:
+            cong_data.append((p, e_p, centre / a_p))
+
     # denominator growth for real-interval control (full case only)
     tail_factor, tail_primes = 1, None
     if full and a.real_part != 0:
         modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
-        # tail_factor is an integer, so comparing it with the floor is exact
-        threshold = math.floor(abs(a.real_part) * modulus / ((hi - lo) * denominator_core))
+        # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
+        real, width = a.real_part, hi - lo
+        threshold = abs(real.numerator) * width.denominator * modulus // (
+            real.denominator * width.numerator * denominator_core)
         vanishing = [p for p, v in a.explicit.items() if v == 0]
         if a.default.kind == ZERO:
             vanishing.append(next(_default_primes(a)))
         if vanishing:  # Case I: powers of the smallest vanishing prime
-            tail_primes = itertools.repeat(min(vanishing))
+            p = min(vanishing)
+            tail_primes = itertools.repeat(p)
+            # p**k <= 2**(bits - 1) <= threshold even if float rounding adds one to k
+            tail_factor = p ** max(0, int(threshold.bit_length() / math.log2(p)) - 2)
         else:  # Case II: nothing vanishes, so the default is TIMES_P
             tail_primes = _default_primes(a, skip=frozenset(nbhd.balls))
         while tail_factor <= threshold:
@@ -275,7 +280,10 @@ def _pick_numerator(cong_data, denominator: int, bounds) -> Optional[int]:
     one congruence on n.  Bounds (0, math.inf) give the smallest positive
     solution.
     """
-    congruences = [_congruence(p, gamma * denominator, e) for p, e, gamma in cong_data]
+    congruences = []
+    for p, e, gamma in cong_data:
+        g = math.gcd(denominator, gamma.denominator)  # gamma * denominator in lowest terms
+        congruences.append(_congruence(p, gamma.numerator * (denominator // g), gamma.denominator // g, e))
     base = crt_solve(congruences)
     modulus = math.prod(m for _, m in congruences)
     first, last = sorted(bounds)

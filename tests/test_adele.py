@@ -122,6 +122,16 @@ class TestScale:
         with pytest.raises(ValueError):
             scale(0, embed_rational(1))
 
+    def test_large_prime_cofactor_migrates_at_once(self, deadline):
+        # trial division up to sqrt(2**61 - 1) would take hours; the
+        # cofactor left after stripping 3 passes the primality test instead
+        P = 2**61 - 1
+        for r in (F(1, 3 * P), F(1, P), F(5, 9 * P)):
+            with deadline(1):
+                b = scale(r, finite({}, DefaultSpec.rational(1)))
+            assert b.explicit[P] == r and b.default == DefaultSpec.rational(r)
+            assert set(b.explicit) == {p for p in (3, P) if r.denominator % p == 0}
+
     @given(small_nonzero, small_nonzero)
     def test_action_composes(self, r, s):
         a = full({5: F(5), 7: F(0)}, DefaultSpec.rational(5), F(3))

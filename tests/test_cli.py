@@ -285,6 +285,16 @@ class TestErrorHandling:
             assert code == 1 and doc["error"]["code"] == "invalid_input"
             assert invoke(capsys, "specializes", "--x", json.dumps(point), "--y", json.dumps(point))[0] == 0
 
+    def test_an_answer_too_large_to_print_is_one_error_document(self, capsys, deadline):
+        # the unit residue of 1/3 mod 2**20000 has more digits than
+        # Python converts from int to str
+        for pretty in ((), ("--pretty",)):
+            with deadline(5):
+                code, out = run_cli("expand", "--q", "1/3", "--p", "2", "--k", "20000", *pretty, capsys=capsys)
+            doc = json.loads(out)  # exactly one document, nothing else
+            assert code == 1 and doc["error"]["code"] == "invalid_input"
+            assert "4300" in doc["error"]["detail"]
+
     def test_unknown_flag(self, capsys):
         assert main(["abs", "--bogus", "1"]) == 1
 

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from adelic import padic
 from adelic.errors import NoIntegerSolution, NonCoprimeModuli
 from adelic.padic import (
     INFINITE_VALUATION,
@@ -235,3 +238,151 @@ class TestFactoring:
         it = iter_primes()
         assert [next(it) for _ in range(6)] == [2, 3, 5, 7, 11, 13]
         assert next(iter_primes(14)) == 17
+
+
+def plain_valuation(q, p):
+    """v_p from its definition: the v with q * p**-v a p-adic unit."""
+    q = Fraction(q)
+    if q == 0:
+        return INFINITE_VALUATION
+    v = 0
+    while (q * Fraction(p) ** -v).numerator % p == 0:
+        v += 1
+    while (q * Fraction(p) ** -v).denominator % p == 0:
+        v -= 1
+    return v
+
+
+def plain_primes(start, count):
+    out, n = [], max(2, start)
+    while len(out) < count:
+        if is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
+# terms carrying high powers of the small primes, so p shows up in the
+# numerator, the denominator or both sides of a difference
+powers = st.builds(lambda u, p, k: u * p**k, st.integers(-50, 50), st.sampled_from(SMALL_PRIMES), st.integers(0, 12))
+kernel_rationals = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, powers, powers.filter(bool)),
+    rationals,
+)
+prime_args = st.sampled_from(SMALL_PRIMES).flatmap(lambda p: st.sampled_from([p, Prime(p)]))
+
+
+class TestIntegerKernel:
+    """The integer forms of valuation and ball membership agree with the
+    plain Fraction definitions."""
+
+    @given(kernel_rationals, prime_args)
+    def test_valuation(self, q, p):
+        assert valuation(q, p) == plain_valuation(q, p)
+
+    @given(kernel_rationals, kernel_rationals, prime_args, st.integers(-15, 30))
+    def test_ball_contains(self, x, centre, p, ell):
+        expected = plain_valuation(Fraction(x) - Fraction(centre), p) >= ell
+        ball = PadicBall(p, centre, ell)
+        assert ball.contains(x) == expected
+        assert ball.contains(Fraction(x)) == expected
+        assert ball.contains(centre) and ball.contains(Fraction(centre))
+
+    def test_zero_and_negatives(self):
+        assert valuation(0, 2) == valuation(Fraction(0), Prime(2)) == INFINITE_VALUATION
+        assert valuation(-48, 2) == 4 and valuation(Fraction(-5, 72), 3) == -2
+        assert PadicBall(3, Fraction(-2), 5).contains(Fraction(-14 - 5 * 3**5, 7))
+        assert not PadicBall(3, Fraction(1, 9), 0).contains(0)
+        assert PadicBall(3, Fraction(1, 9), -2).contains(0)
+
+    def test_non_prime_rejected(self):
+        for q in (6, Fraction(1, 4), 0):
+            with pytest.raises(ValueError):
+                valuation(q, 4)
+
+
+@pytest.fixture
+def fresh_prime_list():
+    """Start from the initial shared prime list; restore the old one after."""
+    saved = padic._PRIMES
+    padic._PRIMES = saved[:1]
+    yield
+    padic._PRIMES = saved
+
+
+class TestSharedPrimeList:
+    @given(st.lists(st.tuples(st.integers(-5, 3000), st.integers(1, 60)), min_size=1, max_size=6))
+    def test_walks_match_a_plain_walk_in_any_order(self, walks):
+        saved = padic._PRIMES
+        padic._PRIMES = saved[:1]
+        try:
+            for start, count in walks:
+                it = iter_primes(start)
+                assert [next(it) for _ in range(count)] == plain_primes(start, count)
+        finally:
+            padic._PRIMES = saved
+
+    def test_yields_primes_and_runs_no_test_twice(self, fresh_prime_list, monkeypatch):
+        tested = []
+        monkeypatch.setattr(padic, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        first = [p for p, _ in zip(iter_primes(), range(300))]
+        assert all(type(p) is Prime for p in first) and first == plain_primes(2, 300)
+        assert len(tested) == len(set(tested))
+        tested.clear()
+        again = iter_primes(100)
+        assert [next(again) for _ in range(100)] == plain_primes(100, 100) and tested == []
+
+    def test_threads_walking_at_once(self, fresh_prime_list):
+        starts = [2, 2, 3, 500, 2, 1000, 7, 2]
+        expected = [plain_primes(s, 400) for s in starts]
+        results = {}
+
+        def walk(i):
+            it = iter_primes(starts[i])
+            results[i] = [next(it) for _ in range(400)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # each round grows the list from scratch
+                padic._PRIMES = padic._PRIMES[:1]
+                results.clear()
+                threads = [threading.Thread(target=walk, args=(i,)) for i in range(len(starts))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert [results.get(i) for i in range(len(starts))] == expected
+                shared = padic._PRIMES
+                assert list(shared) == plain_primes(2, len(shared))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_start_past_the_list_walks_alone(self, fresh_prime_list):
+        it = iter_primes(2**61)
+        assert next(it) == plain_primes(2**61, 1)[0]
+        assert padic._PRIMES == (2,)
+
+
+class TestFactoringStops:
+    def test_prime_cofactor_ends_the_search(self, deadline):
+        P = 2**61 - 1
+        with deadline(1):
+            assert prime_factors(3 * P) == {3: 1, P: 1}
+            assert prime_factors(-P) == {P: 1}
+            assert prime_factors(2**5 * 3 * P) == {2: 5, 3: 1, P: 1}
+
+    @given(st.integers(1, 10**7))
+    def test_matches_plain_trial_division(self, n):
+        out, m, d = {}, n, 2
+        while d * d <= m:
+            while m % d == 0:
+                out[d] = out.get(d, 0) + 1
+                m //= d
+            d += 1
+        if m > 1:
+            out[m] = out.get(m, 0) + 1
+        factors = prime_factors(n)
+        assert factors == out and all(type(p) is Prime for p in factors)

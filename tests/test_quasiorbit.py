@@ -1,12 +1,13 @@
 import math
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adelic import adele, jsonio, padic
+from adelic import adele, jsonio, padic, quasiorbit
 from adelic.adele import (
     DefaultSpec,
     FiniteAdele,
@@ -23,7 +24,7 @@ from adelic.adele import (
 )
 from adelic.errors import ClosedOrbitMiss, Infeasible, NotIntegral, NotInvertible
 from adelic.oracle import SearchBudget, witness_by_search
-from adelic.padic import INFINITY, PadicBall, Prime, valuation
+from adelic.padic import INFINITY, PadicBall, Prime, is_prime, valuation
 from adelic.quasiorbit import (
     FULL_GROUP,
     TRIVIAL,
@@ -234,6 +235,18 @@ class TestApproxWitnessFinite:
         with pytest.raises(Infeasible):
             approx_witness(a, nbhd)
 
+    def test_infeasible_reports_the_smallest_failing_ball_before_any_rewrite(self, monkeypatch):
+        rewrites = []
+        monkeypatch.setattr(quasiorbit, "valuation", lambda q, p: rewrites.append(p) or valuation(q, p))
+        a = finite({2: F(1, 2), 3: F(7), 5: F(0), 11: F(3, 11), 13: F(0)}, DefaultSpec.rational(1))
+        balls = {p: PadicBall(p, F(1), 1) for p in (2, 3, 13, 5)}
+        with pytest.raises(Infeasible, match=r"^component at p=5 vanishes but the ball excludes 0$"):
+            approx_witness(a, Neighbourhood(balls))
+        # the real coordinate comes after the finite balls
+        with pytest.raises(Infeasible, match="p=5"):
+            approx_witness(FullAdele(a, 0), Neighbourhood(balls, real_interval=(F(1), F(2))))
+        assert rewrites == []
+
     def test_negative_valuation_off_the_balls(self):
         # the witness must also repair integrality at 7
         a = finite({7: F(1, 7)}, DefaultSpec.rational(1))
@@ -272,6 +285,26 @@ class TestApproxWitnessFull:
         )
         r = approx_witness(a, nbhd)
         assert nbhd.contains(scale(r, a))
+
+    def test_case_two_walks_the_shared_prime_list(self, monkeypatch):
+        # the tail primes come from padic's shared list: once it has grown,
+        # a repeated construction runs no primality test in the walk
+        monkeypatch.setattr(padic, "_PRIMES", padic._PRIMES[:1])
+        walked = []
+
+        def counted(n):
+            if sys._getframe(1).f_code.co_name == "iter_primes":
+                walked.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(padic, "is_prime", counted)
+        a = full({}, DefaultSpec.times_p(1), F(1))
+        nbhd = Neighbourhood({2: PadicBall(2, F(5), 2), 3: PadicBall(3, F(1), 1)}, real_interval=(F(10), F(10) + F(1, 10**40)))
+        first = approx_witness(a, nbhd)
+        assert walked and nbhd.contains(scale(first, a))
+        walked.clear()
+        assert approx_witness(a, nbhd) == first
+        assert walked == []
 
     def test_interval_excluding_zero_with_vanishing_real(self):
         a = full({2: F(0)}, DefaultSpec.rational(1), F(0))

@@ -292,6 +292,7 @@ class TestIntegerKernel:
     def test_zero_and_negatives(self):
         assert valuation(0, 2) == valuation(Fraction(0), Prime(2)) == INFINITE_VALUATION
         assert valuation(-48, 2) == 4 and valuation(Fraction(-5, 72), 3) == -2
+        assert valuation("-18/12", 3) == 1 and PadicBall(3, "4/6", 1).contains("-7/3")
         assert PadicBall(3, Fraction(-2), 5).contains(Fraction(-14 - 5 * 3**5, 7))
         assert not PadicBall(3, Fraction(1, 9), 0).contains(0)
         assert PadicBall(3, Fraction(1, 9), -2).contains(0)

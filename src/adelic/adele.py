@@ -193,8 +193,12 @@ def _governed_by_default(a: Adele, p: Prime) -> bool:
 
 
 def _default_primes(a: Adele, skip=frozenset()) -> Iterator[Prime]:
-    """The primes governed by the default rule, ascending, minus skips."""
-    return (p for p in iter_primes() if p not in skip and _governed_by_default(a, p))
+    """The primes governed by the default rule (``_governed_by_default``), ascending, minus skips."""
+    d, explicit = a.default, a.explicit
+    terms = 1 if d.q is None else d.q.numerator * d.q.denominator  # p | n*d iff p | n or p | d
+    for p in iter_primes():
+        if p not in skip and terms % p and (p not in explicit or explicit[p] == d.value_at(p)):
+            yield p
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ keys, reduced rationals, byte-identical for identical argv.  The
 subcommands are defined in one table, ``COMMANDS``.
 
 A request that names a subcommand is parsed with only that subcommand's
-flags.  Help, usage errors and unknown commands go through the parser of
-all subcommands, ``build_parser()``, so their text is the same either way.
+flags, by a parser built once per process, on the command's first request.
+Help, usage errors and unknown commands go through the parser of all
+subcommands, ``build_parser()``, so their text is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -245,14 +247,20 @@ class _CommandParser(argparse.ArgumentParser):
         raise _Unanswered
 
 
+@functools.lru_cache(maxsize=None)
+def _command_parser(command: str) -> _CommandParser:
+    """``command``'s parser, built on its first request and then kept: it never prints."""
+    parser = _CommandParser(prog=f"adele {command}")
+    _add_flags(parser, COMMANDS[command][1])
+    return parser
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse ``argv`` with only its command's flags when it names one,
     which costs a small fraction of building all 21 subparsers."""
     if argv and argv[0] in COMMANDS:
-        parser = _CommandParser(prog=f"adele {argv[0]}")
-        _add_flags(parser, COMMANDS[argv[0]][1])
         try:
-            return argparse.Namespace(command=argv[0], **vars(parser.parse_args(argv[1:])))
+            return argparse.Namespace(command=argv[0], **vars(_command_parser(argv[0]).parse_args(argv[1:])))
         except _Unanswered:
             pass
     return build_parser().parse_args(argv)

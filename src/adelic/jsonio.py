@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any, Dict, List
 
 from .adele import (
@@ -48,17 +49,19 @@ from .quasiorbit import PRIME_SET, ParameterPoint
 
 # Whole-string ASCII matches (\d and "$" admit other scripts' digits and a
 # trailing newline); a prime has one spelling, so no two JSON keys collide
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([1-9][0-9]*))?")
 _PRIME_RE = re.compile(r"[1-9][0-9]*")
 
 
 def parse_rational(text: Any) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str) and _RATIONAL_RE.fullmatch(text):
-        q = Fraction(text)
-        if dump_rational(q) == text:  # reduced, no sign on 0, no "+", no leading 0
-            return q
+    if isinstance(text, str) and (m := _RATIONAL_RE.fullmatch(text)):
+        sign, digits, den = m.groups()
+        n, d = int(sign + digits), int(den or 1)  # past the digit limit, int's own error
+        # reduced, no "/1", no "+", no leading 0, no sign on 0
+        if sign != "+" and (digits[0] != "0" or digits == "0" and not sign) and den != "1" and gcd(n, d) == 1:
+            return Fraction(n, d)
     raise ValueError(f"not a canonical rational: {text!r}")
 
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,6 +432,63 @@ class TestParsePaths:
             calls.clear()
             transcript(capsys, argv)
             assert calls == [1], argv
+
+
+class TestParserCache:
+    """Each command's parser is built on its first request and kept."""
+
+    def test_one_parser_per_command(self, capsys, monkeypatch):
+        built = []
+
+        class Counted(cli._CommandParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_CommandParser", Counted)
+        cli._command_parser.cache_clear()
+        try:
+            for _ in range(2):
+                for argv, code, stdout in GOLDEN:
+                    assert transcript(capsys, argv)[:2] == (code, stdout), argv
+        finally:
+            cli._command_parser.cache_clear()
+        assert sorted(built) == sorted({f"adele {argv[0]}" for argv, _, _ in GOLDEN})
+
+    def test_a_usage_error_leaves_the_cached_parser_as_it_was(self, capsys):
+        request = ["witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD]
+        want = transcript(capsys, request)
+        for bad in (request + ["--bogus", "1"], request[:3], ["witness", "-h"], request + ["--pretty=1"]):
+            transcript(capsys, bad)
+            assert transcript(capsys, request) == want, bad
+
+    def test_threads_parse_as_a_serial_run_does(self):
+        corpus = [argv for argv, _, stdout in GOLDEN if stdout] * 4  # not the usage error
+        serial = [cli._parse_args(argv) for argv in corpus]
+        cli._command_parser.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside argparse too
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(cli._parse_args, corpus, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_requests_leave_no_cyclic_garbage(self, capsys):
+        requests = [["abs", "--adele", ADELE_38], ["abs", "--adele", "{"]]
+        for argv in requests:
+            main(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in requests:
+                for _ in range(200):
+                    main(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts"

@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic import jsonio
 from adelic.cli import main
@@ -48,6 +51,60 @@ class TestRationals:
         for bad in ["02", "\u0662", "+2", " 2", "2\n", "0"]:
             with pytest.raises(ValueError):
                 jsonio.parse_prime(bad)
+
+
+def _fraction_parse_rational(text):
+    """The former definition: ``Fraction(text)``, kept only when it prints back as ``text``."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str) and re.fullmatch(r"[+-]?[0-9]+(/[1-9][0-9]*)?", text):
+        q = Fraction(text)
+        if jsonio.dump_rational(q) == text:
+            return q
+    raise ValueError(f"not a canonical rational: {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        q = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(q), q
+
+
+# digits with leading zeros, other scripts' digits and stray characters
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=6) | st.sampled_from(["0", "00", "1", "01"])
+_ODD = st.text(alphabet="019+-/ \n\u0663\u0661\uff11", max_size=6)
+_SPELLED = st.builds(
+    lambda sign, n, den: sign + n + ("" if den is None else "/" + den),
+    st.sampled_from(["", "+", "-"]),
+    _DIGITS | _ODD,
+    st.none() | _DIGITS | _ODD,
+)
+_ANY = _SPELLED | _ODD | st.integers() | st.booleans() | st.floats() | st.none() | st.lists(st.integers(), max_size=2)
+
+
+class TestParseRationalDifferential:
+    """``parse_rational`` reads integers where it once printed a Fraction
+    back; every input must give the same value or the same error text."""
+
+    @given(_ANY)
+    @settings(max_examples=500)
+    def test_matches_the_fraction_round_trip(self, text):
+        assert _outcome(jsonio.parse_rational, text) == _outcome(_fraction_parse_rational, text)
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (0, 7), (6, 4), (-6, 4), (5, 1), (-5, 3), (1, 12)])
+    def test_pairs(self, n, d):
+        for text in (f"{n}/{d}", f"+{n}/{d}", f"0{n}/{d}", f"{n}/0{d}", str(n)):
+            assert _outcome(jsonio.parse_rational, text) == _outcome(_fraction_parse_rational, text)
+
+    def test_past_the_digit_limit(self):
+        long = "1" * 4301
+        for text in (long, "-" + long, "+" + long, "0" + long, "1/" + long, long + "/" + long + "1"):
+            got = _outcome(jsonio.parse_rational, text)
+            assert got == _outcome(_fraction_parse_rational, text)
+            assert got[0] == "error" and "Exceeds the limit (4300 digits)" in got[1]
+        assert jsonio.parse_rational("1" * 4300) == int("1" * 4300)
 
 
 class TestAdeleRoundTrip:

@@ -538,10 +538,11 @@ def xi_partial(a: FullAdele, primes: Iterable) -> Fraction:
 
 def _idele_rational(a: FullAdele) -> Fraction:
     """The rational r of factor_idele's split a = r * u, a invertible."""
-    r = Fraction((1 if a.real_part > 0 else -1) * _strip(a.default.q.numerator, a.explicit))
+    num, den = (1 if a.real_part > 0 else -1) * _strip(a.default.q.numerator, a.explicit), 1
     for p, v in a.explicit.items():
-        r *= Fraction(p) ** valuation(v, p)
-    return r
+        k = valuation(v, p)
+        num, den = (num * p ** k, den) if k >= 0 else (num, den * p ** -k)
+    return Fraction(num, den)
 
 
 def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:

@@ -3,8 +3,13 @@
 These deliberately know nothing about the CRT construction: the witness
 search enumerates rationals by height and tests membership in integers
 place by place, and the window closure enumerates basic opens over a
-finite window.  The test suite uses them to cross-check the constructive
-algorithms.
+finite window.  The test suite uses them to cross-check the
+constructive algorithms.
+
+The witness search is lazy in both directions: the admissible
+denominators come from an ascending stream, and the candidates over a
+denominator d are queued only when the scan reaches height d, so its
+cost follows the height of the answer, not the height bound.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, takewhile
 from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
@@ -56,19 +61,19 @@ def _allowed_denominator_primes(a: Adele, budget: SearchBudget) -> List[Prime]:
     return sorted(allowed)
 
 
-def _smooth_denominators(primes: List[Prime], bound: int, max_exp: int) -> List[int]:
-    denominators = [1]
-    for p in primes:
-        extended = []
-        for d in denominators:
-            power = d
-            for _ in range(max_exp):
-                power *= p
-                if power > bound:
-                    break
-                extended.append(power)
-        denominators.extend(extended)
-    return sorted(denominators)
+def _smooth_denominators(primes: List[Prime], bound: int, max_exp: int) -> Iterator[int]:
+    """The products of ``primes``, each to at most ``max_exp``, up to
+    ``bound``, in ascending order; a product grows only by its largest
+    prime or a larger one, so each is reached once."""
+    heap = [(1, 0, 0)]  # (product, index of its largest prime, that prime's exponent)
+    while heap:
+        d, i, e = heapq.heappop(heap)
+        yield d
+        for j in range(i, len(primes)):
+            if d * primes[j] > bound:
+                break
+            if j > i or e < max_exp:
+                heapq.heappush(heap, (d * primes[j], j, e + 1 if j == i else 1))
 
 
 def witness_by_search(
@@ -83,13 +88,16 @@ def witness_by_search(
 
     The scan is lazy: each (denominator, sign) pair streams its reduced
     fractions in key order (height, numerator, denominator, + before -)
-    and ``heapq.merge`` interleaves them, so a candidate is built only
-    when every candidate before it has failed.  Membership never builds
+    into one heap, so a candidate is built only when every candidate
+    before it has failed.  Denominators arrive in ascending order, and
+    the streams over d join the heap only once every queued candidate of
+    height below d has failed: each of their candidates has height
+    max(n, d) >= d, so a search that ends at height h never generates a
+    denominator, or opens a stream, above h.  Membership never builds
     r * a: the real interval clips each stream's numerator range by
-    integer floor division (an empty range builds no stream), and each
-    place where r * a can fail tests its ball, Z_p = B(0, 0) where nbhd
-    has none, in integers.  Constraints independent of r are checked
-    once up front.
+    integer floor division, and each place where r * a can fail tests
+    its ball, Z_p = B(0, 0) where nbhd has none, in integers.
+    Constraints independent of r are checked once up front.
     """
     full = _check_kind(a, nbhd)
 
@@ -98,7 +106,8 @@ def witness_by_search(
     # a_p = A / B and centre C / D; gcd(d, p ** bits) is p ** v_p(d).  Off the
     # listed places no candidate has a denominator and a_p is integral.
     primes = _allowed_denominator_primes(a, budget)
-    bits, places = budget.height_bound.bit_length(), []
+    bound, places = budget.height_bound, []
+    bits = bound.bit_length()
     for p in sorted(nbhd.balls.keys() | a.explicit.keys() | set(primes)):
         ball = nbhd.balls.get(p)
         centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
@@ -111,23 +120,32 @@ def witness_by_search(
     if full and a.real_part == 0 and not nbhd.real_interval[0] < 0 < nbhd.real_interval[1]:
         return None
 
-    denominators = _smooth_denominators(primes, budget.height_bound, budget.precision)
-    streams = []
+    clips = []
     for sign in (1, -1) if full else (1,):
         # r * a_oo in (lo, hi) puts n / d in (x, y), so n in (x * d, y * d)
-        ends = (0, budget.height_bound + 1)  # clips nothing
+        ends = (0, bound + 1)  # clips nothing
         if full and a.real_part != 0:
             ends = sorted(end / (sign * a.real_part) for end in nbhd.real_interval)
-        (xn, xd), (yn, yd) = (end.as_integer_ratio() for end in ends)
-        for d in denominators:
-            first = max(1, xn * d // xd + 1)
-            last = min(budget.height_bound, -(-yn * d // yd) - 1)
-            if first <= last:
-                streams.append(_reduced_fractions(d, sign < 0, first, last))
-    for _, n, d, negative in heapq.merge(*streams):
-        m = -n if negative else n
-        if not any((m * ad - d * bc) % max(1, gcd(d, big) * up // down) for big, up, down, ad, bc in places):
-            return Fraction(m, d)
+        clips.append((sign < 0, *ends[0].as_integer_ratio(), *ends[1].as_integer_ratio()))
+    heap = []  # (key, stream), keys (height, n, d, negative) in search order
+
+    def push(stream):
+        key = next(stream, None)
+        if key is not None:
+            heapq.heappush(heap, (key, stream))
+
+    for d in chain(_smooth_denominators(primes, bound, budget.precision), [bound + 1]):
+        # a candidate over d has height max(n, d) >= d: test every lower one first
+        while heap and heap[0][0][0] < d:
+            (_, n, dn, negative), stream = heapq.heappop(heap)
+            m = -n if negative else n
+            if not any((m * ad - dn * bc) % max(1, gcd(dn, big) * up // down) for big, up, down, ad, bc in places):
+                return Fraction(m, dn)
+            push(stream)
+        if d > bound:  # the sentinel: every candidate has failed
+            break
+        for negative, xn, xd, yn, yd in clips:
+            push(_reduced_fractions(d, negative, max(1, xn * d // xd + 1), min(bound, -(-yn * d // yd) - 1)))
     return None
 
 

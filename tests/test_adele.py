@@ -275,6 +275,13 @@ class TestFactorIdele:
         r, u = factor_idele(u0)
         assert r == 1 and u == u0
 
+    def test_prime_powers_of_both_signs_and_the_stripped_default(self):
+        # -1 * strip(21, {2, 3, 5}) * 2^3 * 3^-2 * 5^1 = -280/9
+        a = full({2: F(8), 3: F(1, 9), 5: F(5, 7)}, DefaultSpec.rational(21), F(-1, 2))
+        r, u = factor_idele(a)
+        assert r == F(-280, 9)
+        assert scale(r, u) == a
+
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
             factor_idele(full({2: F(0)}, DefaultSpec.rational(1), F(1)))

@@ -133,6 +133,16 @@ class TestWitnessCommands:
         )
         assert code == 0 and doc == {"r": "16"}
 
+    def test_oracle_witness_answers_at_once_under_a_huge_budget(self, capsys, deadline):
+        # the answer has height 16; no denominator past it is generated
+        adele = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}})
+        nbhd = json.dumps({"balls": {"2": {"center": "0", "radius_exponent": 3},
+                                     "3": {"center": "1", "radius_exponent": 1}}})
+        argv = ["oracle-witness", "--adele", adele, "--nbhd", nbhd]
+        with deadline(1):
+            code, doc = invoke(capsys, *argv, "--height-bound", str(10**60), "--precision", "200")
+        assert code == 0 and doc == {"r": "16"}
+
     def test_misses_report_a_null_r(self, capsys):
         a = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}})
         b = json.dumps({"explicit": {}, "default": {"kind": "times_p", "q": "1"}})

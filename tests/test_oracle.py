@@ -3,10 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adelic import adele, padic
+from adelic import adele, oracle, padic
 from adelic.adele import (
     EXTENDED_PRIMES,
     DefaultSpec,
@@ -18,8 +18,14 @@ from adelic.adele import (
     scale,
 )
 from adelic.errors import ClosedOrbitMiss, Infeasible
-from adelic.oracle import SearchBudget, _allowed_denominator_primes, window_closure, witness_by_search
-from adelic.padic import INFINITY, PadicBall, Prime, is_prime
+from adelic.oracle import (
+    DEFAULT_WINDOW,
+    SearchBudget,
+    _allowed_denominator_primes,
+    window_closure,
+    witness_by_search,
+)
+from adelic.padic import INFINITY, PadicBall, Prime, is_prime, valuation
 from adelic.quasiorbit import approx_witness
 
 F = Fraction
@@ -70,6 +76,13 @@ class TestWitnessSearch:
         a = finite({17: F(1, 17)}, DefaultSpec.rational(1))
         nbhd = Neighbourhood({2: PadicBall(2, F(1), 1)})
         assert witness_by_search(a, nbhd, SearchBudget(100)) == 17
+
+    def test_a_tie_at_height_d_goes_to_the_candidate_over_d(self):
+        # 2/3 and 3 both lie in B(3, 1) at 7, and B(0, -1) at 3 admits both;
+        # at height 3, 2/3 comes first
+        a, nbhd = embed_rational(1), Neighbourhood({3: PadicBall(3, F(0), -1), 7: PadicBall(7, F(3), 1)})
+        assert nbhd.contains(scale(F(3), a))
+        assert witness_by_search(a, nbhd, SearchBudget(20)) == F(2, 3)
 
     def test_zero_height_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -131,16 +144,73 @@ def first_member_by_height(a, nbhd, height):
     return None
 
 
+UNITS = [F(1), F(-1), F(2), F(-3), F(5, 7), F(-7, 11), F(11, 13), F(6, 35)]
+
+
+@st.composite
+def closed_miss_instances(draw):
+    """A closed orbit kept off its neighbourhood: a unit idele u whose real
+    part has either sign, balls centred at k * u_p, and a real interval of
+    width 1/128 strictly between k * u_oo and (k + 1) * u_oo, with k of
+    either sign.  Every member would be an integer, and the interval holds
+    none, so each search is fruitless however far it runs."""
+    units = draw(st.dictionaries(st.sampled_from(PLACES), st.sampled_from(UNITS), max_size=2))
+    real = draw(st.sampled_from([1, -1])) * F(draw(st.integers(1, 16)), draw(st.integers(1, 3)))
+    u = full({p: x for p, x in units.items() if valuation(x, p) == 0}, DefaultSpec.rational(1), real)
+    k = draw(st.integers(-5, 5))
+    ball_primes = set(u.explicit) | {Prime(draw(st.sampled_from(PLACES)))}
+    balls = {p: PadicBall(p, u.component(p) * k, draw(st.integers(1, 3))) for p in ball_primes}
+    lo = (k + F(draw(st.integers(1, 4)), 8)) * real
+    return u, Neighbourhood(balls, real_interval=(lo, lo + F(1, 128))), draw(st.integers(1, 60))
+
+
+@st.composite
+def tie_instances(draw):
+    """A ball at a prime p of d * d - n * d2, for n, d2 < d, holds both
+    n / d and d / d2, and balls B(0, -v_q) at the primes q of d and d2
+    admit both: a candidate over d ties at height d with one over the
+    smaller d2, and must come first.  The adele is 1, finite or full under
+    a wide interval."""
+    d = draw(st.integers(2, 12))
+    n, d2 = (draw(st.integers(1, d - 1).filter(lambda x: gcd(x, d) == 1)) for _ in range(2))
+    gap = d * d - n * d2  # coprime to d * d2, since n and d2 are coprime to d
+    ps = [p for p in range(2, gap + 1) if gap % p == 0 and is_prime(p)]
+    assume(ps)  # gap == 1 has no prime
+    p = draw(st.sampled_from(ps))
+    balls = {q: PadicBall(q, F(0), -valuation(d * d2, q)) for q in PLACES + [11] if d * d2 % q == 0}
+    balls[p] = PadicBall(p, F(n, d), 1)
+    height = draw(st.integers(d, 40))
+    if draw(st.booleans()):
+        return embed_rational(1), Neighbourhood(balls), height
+    return embed_rational(1, kind="full"), Neighbourhood(balls, real_interval=(F(-50), F(50))), height
+
+
+def full_window_budget(height):
+    """Every prime up to the bound, each to an exponent reaching past it:
+    every denominator of height at most the bound is admissible."""
+    window = frozenset(p for p in range(2, height + 1) if is_prime(p))
+    return SearchBudget(height_bound=height, prime_window=window, precision=height.bit_length())
+
+
 class TestSearchOrder:
     @settings(deadline=None)
     @given(search_instances())
     def test_first_member_in_height_order(self, instance):
         a, nbhd, height = instance
-        # every prime up to the bound, each to an exponent reaching past
-        # it: every denominator of height at most the bound is admissible
-        window = frozenset(p for p in range(2, height + 1) if is_prime(p))
-        budget = SearchBudget(height_bound=height, prime_window=window, precision=height.bit_length())
-        assert witness_by_search(a, nbhd, budget) == first_member_by_height(a, nbhd, height)
+        assert witness_by_search(a, nbhd, full_window_budget(height)) == first_member_by_height(a, nbhd, height)
+
+    @settings(deadline=None)
+    @given(closed_miss_instances())
+    def test_closed_miss_is_fruitless(self, instance):
+        a, nbhd, height = instance
+        assert first_member_by_height(a, nbhd, height) is None
+        assert witness_by_search(a, nbhd, full_window_budget(height)) is None
+
+    @settings(deadline=None)
+    @given(tie_instances())
+    def test_tie_at_the_denominator_height(self, instance):
+        a, nbhd, height = instance
+        assert witness_by_search(a, nbhd, full_window_budget(height)) == first_member_by_height(a, nbhd, height)
 
 
 fractions_to_23 = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 5, 7, 11, 17, 23]))
@@ -194,6 +264,21 @@ class TestMembershipPlaces:
         a, nbhd, budget = instance
         assert witness_by_search(a, nbhd, budget) == first_member_of_budget(a, nbhd, budget)
 
+    @settings(deadline=None)
+    @given(closed_miss_instances(), st.sets(st.sampled_from([2, 3, 5]), min_size=1), st.integers(1, 3))
+    def test_closed_miss_under_a_narrow_budget(self, instance, window, precision):
+        a, nbhd, height = instance
+        budget = SearchBudget(height, frozenset(window), precision)
+        assert first_member_of_budget(a, nbhd, budget) is None
+        assert witness_by_search(a, nbhd, budget) is None
+
+    @settings(deadline=None)
+    @given(tie_instances(), st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1), st.integers(1, 3))
+    def test_tie_under_a_narrow_budget(self, instance, window, precision):
+        a, nbhd, height = instance
+        budget = SearchBudget(height, frozenset(window), precision)
+        assert witness_by_search(a, nbhd, budget) == first_member_of_budget(a, nbhd, budget)
+
     CASES = {
         "finite": (embed_rational(1), Neighbourhood({2: PadicBall(2, F(0), 3), 3: PadicBall(3, F(1), 1)}), 100, F(16)),
         "clipped full": (
@@ -228,6 +313,55 @@ class TestMembershipPlaces:
                             monkeypatch.setattr(module, attr, forbidden)
         monkeypatch.setattr(Neighbourhood, "contains", forbidden)
         assert witness_by_search(a, nbhd, SearchBudget(height)) == expected
+
+
+def sorted_smooth(primes, bound, max_exp):
+    """The reference: every product of the primes, each to at most
+    max_exp, up to the bound, built prime by prime and then sorted."""
+    denominators = [1]
+    for p in primes:
+        extended = []
+        for d in denominators:
+            power = d
+            for _ in range(max_exp):
+                power *= p
+                if power > bound:
+                    break
+                extended.append(power)
+        denominators.extend(extended)
+    return sorted(denominators)
+
+
+class TestLazyAdmission:
+    SPEC = (embed_rational(1), Neighbourhood({2: PadicBall(2, F(0), 3), 3: PadicBall(3, F(1), 1)}))
+
+    def test_huge_budget_answers_at_once(self, deadline):
+        a, nbhd = self.SPEC
+        with deadline(1):
+            assert witness_by_search(a, nbhd, SearchBudget(10**60, precision=200)) == 16
+
+    @pytest.mark.parametrize("budget", [SearchBudget(100), SearchBudget(10**60, precision=200)])
+    def test_opens_no_stream_above_the_answer(self, budget, monkeypatch, deadline):
+        a, nbhd = self.SPEC
+        opened, original = [], oracle._reduced_fractions
+
+        def recording(d, *args):
+            opened.append(d)
+            return original(d, *args)
+
+        monkeypatch.setattr(oracle, "_reduced_fractions", recording)
+        with deadline(1):
+            assert witness_by_search(a, nbhd, budget) == 16
+        # one stream per admissible denominator up to the answer's height 16
+        assert opened == sorted_smooth(sorted(DEFAULT_WINDOW), 16, budget.precision)
+
+    @pytest.mark.parametrize("primes", [[], [2], [3], [2, 3], [5, 7, 17], [2, 3, 5, 7, 11, 13]])
+    @pytest.mark.parametrize("max_exp", [1, 2, 3, 7])
+    def test_ascending_denominators_match_the_sorted_list(self, primes, max_exp):
+        # 12, 16, 36, 360, 1000 and 10**4 are themselves smooth
+        for bound in [1, 2, 7, 12, 16, 36, 100, 360, 1000, 1001, 10**4]:
+            expected = sorted_smooth(primes, bound, max_exp)
+            assert list(oracle._smooth_denominators(primes, bound, max_exp)) == expected
 
 
 class TestOracleAgainstConstruction:

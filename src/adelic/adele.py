@@ -35,7 +35,6 @@ from .padic import (
     is_infinite_place,
     iter_primes,
     prime_factors,
-    primes_dividing,
     valuation,
 )
 
@@ -181,19 +180,9 @@ class FiniteAdele:
         return f"FiniteAdele({{{parts}}}, default={tail})"
 
 
-def _governed_by_default(a: Adele, p: Prime) -> bool:
-    """Whether p divides neither term of the default rational and is not
-    explicit or has an entry restating the default rule: a property of
-    the adele, not of its description."""
-    q = a.default.q
-    if q is not None and (q.numerator % p == 0 or q.denominator % p == 0):
-        return False
-    v = a.explicit.get(p)
-    return v is None or v == a.default.value_at(p)
-
-
 def _default_primes(a: Adele, skip=frozenset()) -> Iterator[Prime]:
-    """The primes governed by the default rule (``_governed_by_default``), ascending, minus skips."""
+    """The primes where the default rule gives a's component, ascending, minus skips:
+    p divides neither term of the default rational, and any entry at p restates the rule."""
     d, explicit = a.default, a.explicit
     terms = 1 if d.q is None else d.q.numerator * d.q.denominator  # p | n*d iff p | n or p | d
     for p in iter_primes():
@@ -414,9 +403,10 @@ def _check_kind(a: Adele, nbhd: Neighbourhood) -> bool:
 def embed_rational(q: Rational, kind: str = "finite") -> Adele:
     """Diagonally embed a rational: the component is q at every place.
 
-    Both terms of q are factored by trial division to list its primes."""
+    Only q's denominator is factored: the FiniteAdele invariant lists its
+    primes, and the default rule gives q at every other place."""
     q = Fraction(q)
-    explicit = {p: q for p in primes_dividing(q)}
+    explicit = {p: q for p in prime_factors(q.denominator)}
     default = DefaultSpec.zero() if q == 0 else DefaultSpec.rational(q)
     fin = FiniteAdele(explicit, default)
     if kind == "finite":

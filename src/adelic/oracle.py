@@ -9,7 +9,9 @@ constructive algorithms.
 The witness search is lazy in both directions: the admissible
 denominators come from an ascending stream, and the candidates over a
 denominator d are queued only when the scan reaches height d, so its
-cost follows the height of the answer, not the height bound.
+cost follows the height of the answer, not the height bound.  A prime
+that no member can have in its denominator draws no denominators, so a
+fruitless search walks only the denominators its places admit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
 from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO
-from .adele import _check_kind, _default_primes, _governed_by_default
+from .adele import _check_kind, _default_primes
 from .padic import Prime, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
@@ -53,7 +55,8 @@ class SearchBudget:
 def _allowed_denominator_primes(a: Adele, budget: SearchBudget) -> List[Prime]:
     """Window primes plus the primes where scaling can absorb denominators."""
     allowed = set(budget.prime_window)
-    allowed.update(p for p, v in a.explicit.items() if v == 0 and not _governed_by_default(a, p))
+    if a.default.kind != ZERO:  # under a ZERO default an explicit zero restates the rule
+        allowed.update(p for p, v in a.explicit.items() if v == 0)
     if a.default.kind in (ZERO, TIMES_P):
         # every default prime divides the adele; draw them up to the window bound
         bound = max(allowed, default=Prime(13))
@@ -104,8 +107,10 @@ def witness_by_search(
     # A ball admits r = m / d iff p ** (radius + v_p(B*D) + v_p(d)), when > 1,
     # divides m*A*D - d*B*C, the numerator of r * a_p - C / D over d*B*D, for
     # a_p = A / B and centre C / D; gcd(d, p ** bits) is p ** v_p(d).  Off the
-    # listed places no candidate has a denominator and a_p is integral.
-    primes = _allowed_denominator_primes(a, budget)
+    # listed places no candidate has a denominator and a_p is integral.  Where p
+    # has no ball and v_p(a_p) <= 0, r * a_p in Z_p keeps p out of r's denominator.
+    primes = [p for p in _allowed_denominator_primes(a, budget)
+              if p in nbhd.balls or valuation(a.component(p), p) > 0]
     bound, places = budget.height_bound, []
     bits = bound.bit_length()
     for p in sorted(nbhd.balls.keys() | a.explicit.keys() | set(primes)):

@@ -150,16 +150,6 @@ def prime_factors(n: int) -> dict:
     return out
 
 
-def primes_dividing(q: Rational) -> frozenset:
-    """The primes dividing the numerator or denominator of q (empty for 0)."""
-    q = Fraction(q)
-    if q == 0:
-        return frozenset()
-    support = set(prime_factors(q.numerator))
-    support.update(prime_factors(q.denominator))
-    return frozenset(support)
-
-
 def _int_valuation(n: int, p: int) -> int:
     v = 0
     while n % p == 0:

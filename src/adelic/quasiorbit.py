@@ -191,13 +191,20 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     the numerator and merges them by crt_solve.
     Off the balls r * a_p must be integral, which is the ball B(0, 0):
     the explicit primes without a ball go through the same rewrite.
-    For full adeles with a nonzero real coordinate the denominator is
+    For dense full adeles with a nonzero real coordinate the denominator is
     enlarged, through powers of the smallest vanishing prime (Case I) or
     through the default primes dividing a TIMES_P adele (Case II), until
     the solution progression is dense enough to hit the real interval;
     the first nonzero progression term inside the interval is taken.
-    Invertible full adeles have closed orbits and go through the same
-    progression with a fixed denominator (see _closed_orbit_search).
+
+    Invertible full adeles have closed orbits: some exact r lands in the
+    neighbourhood or none does.  With a = r0 * u, the same rewrite runs on
+    t = r * r0 and reads u_p = a_p / r0 and u_oo = a_oo / r0, never
+    building u.  As u_p is a p-adic unit, each ball admits every
+    denominator it allows, v_p(t) >= min(e_p, v_p(c_p)), so the
+    denominator is fixed and gets no tail; the first nonzero progression
+    term in the real interval is the smallest such t and gives r = t / r0,
+    or there is none and the orbit misses the neighbourhood.
 
     All free choices are pinned so the returned witness is canonical and
     reproducible.  The result is verified exactly before being returned.
@@ -206,8 +213,7 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     an invertible full adele's closed orbit misses the neighbourhood.
     """
     full = _check_kind(a, nbhd)
-    if full and is_invertible(a):
-        return _closed_orbit_search(a, nbhd)
+    closed = full and is_invertible(a)
 
     # a vanishing coordinate meets a ball only through 0 (B(0, 0) off the balls holds it)
     for p, ball in nbhd.balls.items():
@@ -215,33 +221,40 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
             raise Infeasible(f"component at p={int(p)} vanishes but the ball excludes 0")
     if full:
         lo, hi = nbhd.real_interval
-        if a.real_part == 0 and not lo < 0 < hi:
+        real = a.real_part
+        if real == 0 and not lo < 0 < hi:
             raise Infeasible("real part vanishes but the interval excludes 0")
+    if closed:
+        r0 = _idele_rational(a)
+        real /= r0  # u_oo
 
-    # rewrite each ball constraint as a congruence datum for r
+    # rewrite each ball constraint as a congruence datum for r (for t when closed)
     cong_data = []  # (p, exponent, center of the r-ball scaled by D later)
     denominator_core = 1
     for p in sorted(nbhd.balls.keys() | a.explicit.keys()):
         a_p = a.component(p)
         if a_p == 0:
             continue  # a feasible ball, satisfied by every r
+        if closed:
+            a_p /= r0  # u_p, a p-adic unit
         ball = nbhd.balls.get(p)
         centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
         alpha = valuation(a_p, p)
         m = radius - alpha
         beta = valuation(centre, p) - alpha  # v_p(gamma) for gamma = centre / a_p
-        d_p = max(0, -beta) if beta < m else 0
+        # a closed orbit takes every denominator the ball allows, a dense one those it forces
+        d_p = max(0, -min(beta, m)) if closed or beta < m else 0
         denominator_core *= int(p) ** d_p
         e_p = m + d_p
         if e_p >= 1:
             cong_data.append((p, e_p, centre / a_p))
 
-    # denominator growth for real-interval control (full case only)
+    # denominator growth for real-interval control (dense full case only)
     tail_factor, tail_primes = 1, None
-    if full and a.real_part != 0:
+    if full and real != 0 and not closed:
         modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
         # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
-        real, width = a.real_part, hi - lo
+        width = hi - lo
         threshold = abs(real.numerator) * width.denominator * modulus // (
             real.denominator * width.numerator * denominator_core)
         vanishing = [p for p, v in a.explicit.items() if v == 0]
@@ -261,15 +274,24 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     # modulus, so it holds a progression term and only a lone 0 can be
     # rejected.  A refinement multiplies the range by a prime >= 2, so it
     # then holds two terms, at most one of them 0: this runs at most twice.
+    # A closed orbit's denominator is fixed, so one pass decides it.
     while True:
         denominator = denominator_core * tail_factor
         bounds = (0, math.inf)
-        if tail_primes is not None:
-            bounds = (lo * denominator / a.real_part, hi * denominator / a.real_part)
+        if full and real != 0:
+            bounds = (lo * denominator / real, hi * denominator / real)
         numerator = _pick_numerator(cong_data, denominator, bounds)
         if numerator is not None:
-            return _verified(Fraction(numerator, denominator), a, nbhd)
+            break
+        if closed:
+            raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
         tail_factor *= next(tail_primes)
+    r = Fraction(numerator, denominator)
+    if closed:
+        r /= r0
+    if not nbhd.contains(scale(r, a)):
+        raise AssertionError(f"constructed witness {r} failed verification")
+    return r
 
 
 def _pick_numerator(cong_data, denominator: int, bounds) -> Optional[int]:
@@ -293,41 +315,3 @@ def _pick_numerator(cong_data, denominator: int, bounds) -> Optional[int]:
             return int(n)
         n += modulus
     return None
-
-
-def _closed_orbit_search(a: FullAdele, nbhd: Neighbourhood) -> Fraction:
-    """Exact decision for invertible full adeles.
-
-    The orbit is closed, so either some exact r lands in the
-    neighbourhood or none does.  Factoring a = r0 * u reduces the question
-    to scalings t of the unit u, which is never built: only u_p = a_p / r0
-    at the balls and u_oo = a_oo / r0 are read.  As u_p is a p-adic unit,
-    t * u_p lies in the ball B(c_p, e_p) exactly when t lies in
-    B(c_p / u_p, e_p), which forces v_p(t) >= min(e_p, v_p(c_p)); off the
-    balls t must be integral.  So t = n / D with D = prod
-    p^-min(e_p, v_p(c_p)) over the balls where that exponent is negative,
-    and each ball is the triple (p, e_p + v_p(D), c_p / u_p) of
-    _pick_numerator, a congruence on n.  The first nonzero progression
-    term in the real interval is the smallest such n, or there is none
-    and the orbit misses the neighbourhood.
-    """
-    r0 = _idele_rational(a)
-    cong_data, denominator = [], 1
-    for p, ball in nbhd.balls.items():
-        shift = max(0, -min(ball.radius_exponent, valuation(ball.center, p)))
-        denominator *= int(p) ** shift
-        if ball.radius_exponent + shift >= 1:
-            # c_p / u_p with u_p = a_p / r0
-            cong_data.append((p, ball.radius_exponent + shift, ball.center * r0 / a.component(p)))
-    lo, hi = nbhd.real_interval
-    u_inf = a.real_part / r0
-    n = _pick_numerator(cong_data, denominator, (lo * denominator / u_inf, hi * denominator / u_inf))
-    if n is None:
-        raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
-    return _verified(Fraction(n, denominator) / r0, a, nbhd)
-
-
-def _verified(r: Fraction, a: Adele, nbhd: Neighbourhood) -> Fraction:
-    if not nbhd.contains(scale(r, a)):
-        raise AssertionError(f"constructed witness {r} failed verification")
-    return r

@@ -87,10 +87,18 @@ class TestConstruction:
 
 class TestEmbed:
     def test_six(self):
+        # only the denominator's primes are listed; the default gives 6 at 2 and 3
         a = embed_rational(6)
-        assert set(a.explicit) == {2, 3}
-        assert a.explicit[Prime(2)] == 6
+        assert a.explicit == {}
+        assert a.component(2) == 6 and a.component(3) == 6
+        assert a == FiniteAdele({2: 6, 3: 6}, DefaultSpec.rational(6))
         assert a.default == DefaultSpec.rational(6)
+
+    def test_large_numerator_is_never_factored(self, deadline):
+        q = (2**61 - 1) * (2**89 - 1)
+        with deadline(1):
+            a = embed_rational(q, kind="full")
+        assert a.explicit == {} and a.component(3) == q and a.real_part == q
 
     def test_zero(self):
         a = embed_rational(0)

@@ -19,7 +19,6 @@ from adelic.adele import (
 )
 from adelic.errors import ClosedOrbitMiss, Infeasible
 from adelic.oracle import (
-    DEFAULT_WINDOW,
     SearchBudget,
     _allowed_denominator_primes,
     window_closure,
@@ -83,6 +82,12 @@ class TestWitnessSearch:
         a, nbhd = embed_rational(1), Neighbourhood({3: PadicBall(3, F(0), -1), 7: PadicBall(7, F(3), 1)})
         assert nbhd.contains(scale(F(3), a))
         assert witness_by_search(a, nbhd, SearchBudget(20)) == F(2, 3)
+
+    def test_a_positive_valuation_admits_its_prime_off_the_balls(self):
+        # 1/2 leaves 1 at 2, inside Z_2; at height 2 it comes before 2
+        a = finite({2: F(2)}, DefaultSpec.rational(1))
+        nbhd = Neighbourhood({3: PadicBall(3, F(1, 2), 1)})
+        assert witness_by_search(a, nbhd, SearchBudget(10)) == F(1, 2)
 
     def test_zero_height_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -340,6 +345,12 @@ class TestLazyAdmission:
         with deadline(1):
             assert witness_by_search(a, nbhd, SearchBudget(10**60, precision=200)) == 16
 
+    def test_fruitless_clipped_search_walks_no_inadmissible_denominator(self, deadline):
+        # r * 1 integral at every prime leaves only d = 1, and (1/3, 1/2) holds no integer
+        nbhd = Neighbourhood({}, real_interval=(F(1, 3), F(1, 2)))
+        with deadline(1):
+            assert witness_by_search(embed_rational(1, kind="full"), nbhd, SearchBudget(10**5)) is None
+
     @pytest.mark.parametrize("budget", [SearchBudget(100), SearchBudget(10**60, precision=200)])
     def test_opens_no_stream_above_the_answer(self, budget, monkeypatch, deadline):
         a, nbhd = self.SPEC
@@ -352,8 +363,9 @@ class TestLazyAdmission:
         monkeypatch.setattr(oracle, "_reduced_fractions", recording)
         with deadline(1):
             assert witness_by_search(a, nbhd, budget) == 16
-        # one stream per admissible denominator up to the answer's height 16
-        assert opened == sorted_smooth(sorted(DEFAULT_WINDOW), 16, budget.precision)
+        # one stream per admissible denominator up to the answer's height 16; off
+        # the balls at 2 and 3 every component is a unit, so no other prime enters
+        assert opened == sorted_smooth([2, 3], 16, budget.precision)
 
     @pytest.mark.parametrize("primes", [[], [2], [3], [2, 3], [5, 7, 17], [2, 3, 5, 7, 11, 13]])
     @pytest.mark.parametrize("max_exp", [1, 2, 3, 7])

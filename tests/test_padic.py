@@ -24,7 +24,6 @@ from adelic.padic import (
     is_prime,
     iter_primes,
     prime_factors,
-    primes_dividing,
     valuation,
 )
 
@@ -229,10 +228,6 @@ class TestFactoring:
         assert prime_factors(360) == {Prime(2): 3, Prime(3): 2, Prime(5): 1}
         assert prime_factors(-7) == {Prime(7): 1}
         assert prime_factors(1) == {}
-
-    def test_primes_dividing_fraction(self):
-        assert primes_dividing(Fraction(4, 15)) == frozenset({2, 3, 5})
-        assert primes_dividing(0) == frozenset()
 
     def test_iter_primes(self):
         it = iter_primes()

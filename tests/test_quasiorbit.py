@@ -405,6 +405,21 @@ class TestProgression:
         nbhd = Neighbourhood({2: PadicBall(2, F(1, 1024), 3)}, real_interval=(F(0), F(1000)))
         assert approx_witness(one, nbhd) == F(1, 1024)
 
+    def test_closed_orbit_admits_every_denominator_its_balls_allow(self):
+        # B(0, -1) at 2 allows t = 1/2 without forcing it; only 1/2 lies in (1/4, 1)
+        nbhd = Neighbourhood({2: PadicBall(2, F(0), -1)}, real_interval=(F(1, 4), F(1)))
+        assert approx_witness(embed_rational(1, "full"), nbhd) == F(1, 2)
+
+    def test_dense_orbit_takes_only_the_denominators_its_balls_force(self):
+        # 1 * 4 lies in B(0, 1) at 2, so the canonical witness keeps denominator 1
+        a = finite({2: F(4)}, DefaultSpec.rational(1))
+        assert approx_witness(a, Neighbourhood({2: PadicBall(2, F(0), 1)})) == 1
+
+    def test_closed_orbit_searches_in_ascending_unit_coordinate(self):
+        # r0 = -1, so t = -r: t = -2 comes before t = -1, and r = 2 is returned
+        nbhd = Neighbourhood({}, real_interval=(F(-5, 2), F(-1, 2)))
+        assert approx_witness(embed_rational(-1, "full"), nbhd) == 2
+
     def test_case_one_refines_past_zero(self):
         # D = 2 leaves only n = 0 in (-1, 1); one more factor 2 gives -1/4
         a = full({2: F(0)}, DefaultSpec.rational(1), F(1))

@@ -546,5 +546,4 @@ def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     if not isinstance(a, FullAdele) or not is_invertible(a):
         raise NotInvertible("only invertible full adeles factor through the units")
     r = _idele_rational(a)
-    u = scale(1 / r, a)
-    return r, UnitIdele(u.finite_part, u.real_part)
+    return r, UnitIdele(_scale_finite(1 / r, a.finite_part), a.real_part / r)

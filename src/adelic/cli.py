@@ -9,9 +9,10 @@ keys, reduced rationals, byte-identical for identical argv.  The
 subcommands are defined in one table, ``COMMANDS``.
 
 A request that names a subcommand is parsed with only that subcommand's
-flags, by a parser built once per process, on the command's first request.
-Help, usage errors and unknown commands go through the parser of all
-subcommands, ``build_parser()``, so their text is the same either way.
+flags, by a parser built once per process, on the command's first request;
+it prints the command's help and usage errors itself, in the same bytes as
+the parser of all subcommands, ``build_parser()``.  Only an argv that names
+no subcommand or leaves arguments over goes to ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -232,37 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Unanswered(Exception):
-    """A request that only the full parser can answer: help or a usage error."""
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """One subcommand's parser that prints nothing: help and usage errors
-    raise, so that ``build_parser()`` prints exactly what it always has."""
-
-    def error(self, message):
-        raise _Unanswered
-
-    def print_help(self, file=None):
-        raise _Unanswered
-
-
 @functools.lru_cache(maxsize=None)
-def _command_parser(command: str) -> _CommandParser:
-    """``command``'s parser, built on its first request and then kept: it never prints."""
-    parser = _CommandParser(prog=f"adele {command}")
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """``command``'s parser, built on its first request and then kept."""
+    parser = argparse.ArgumentParser(prog=f"adele {command}")
     _add_flags(parser, COMMANDS[command][1])
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv`` with only its command's flags when it names one,
-    which costs a small fraction of building all 21 subparsers."""
+    """Parse ``argv`` with only its command's flags when it names one.
+    ``parse_known_args`` is the full parser's own call on that subparser, so
+    help and usage errors print the same bytes; only leftover arguments
+    need the full parser, whose error reports them."""
     if argv and argv[0] in COMMANDS:
-        try:
-            return argparse.Namespace(command=argv[0], **vars(_command_parser(argv[0]).parse_args(argv[1:])))
-        except _Unanswered:
-            pass
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return argparse.Namespace(command=argv[0], **vars(args))
     return build_parser().parse_args(argv)
 
 

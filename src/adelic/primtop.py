@@ -218,13 +218,14 @@ class ClosedSetDescriptor:
             object.__setattr__(self, "character_points", ())
             object.__setattr__(self, "all_characters", False)
             return
-        # absorb redundant up-sets: supersets of a kept base add nothing
+        # absorb redundant up-sets: supersets of a kept base add nothing;
+        # kept stays in sort_key order, as removals keep it and appends come last
         kept: List[PrimeSet] = []
         for s in sorted(set(self.up_sets), key=lambda t: t.sort_key()):
             if not any(o.base == s.base and o.is_subset_of(s) for o in kept):
                 kept = [t for t in kept if not (t.base == s.base and s.is_subset_of(t))]
                 kept.append(s)
-        object.__setattr__(self, "up_sets", tuple(sorted(kept, key=lambda t: t.sort_key())))
+        object.__setattr__(self, "up_sets", tuple(kept))
         # of equal units the first given is kept
         units = sorted(dict.fromkeys(self.unit_points), key=UnitIdele.sort_key)
         object.__setattr__(self, "unit_points", tuple(units))

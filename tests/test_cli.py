@@ -361,21 +361,16 @@ class TestRoundTrips:
         assert code == 0 and doc == {"abs": "1"}
 
 
-# argvs that argparse answers itself: help, usage errors, unknown commands
-USAGE = [
-    [],
-    ["-h"],
-    ["--help"],
-    ["bogus"],
-    ["--pretty", "abs", "--adele", ADELE_38],
+# argvs that argparse answers itself: help and usage errors that the named
+# command's parser prints alone ...
+COMMAND_USAGE = [
     ["abs"],
     ["abs", "-h"],
     ["abs", "--adele", ADELE_38, "--help"],
     ["abs", "--adele"],
-    ["abs", "--adele", ADELE_38, "extra"],
-    ["abs", "--adele", ADELE_38, "--bogus", "1"],
+    ["abs", "--bogus", "1"],
+    ["abs", "extra", "-h"],
     ["abs", "--", "--adele", ADELE_38],
-    ["abs", "-p", "--adele", ADELE_38],
     ["witness", "--adele", CASE_ONE_ADELE],
     ["witness", "--help"],
     ["valuation", "--q", "12", "--p", "two"],
@@ -383,6 +378,19 @@ USAGE = [
     ["oracle-witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--he", "50"],
     ["expand", "-h", "--q", "1"],
 ]
+# ... and those that name no command or leave arguments over
+FALLBACK_USAGE = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--pretty", "abs", "--adele", ADELE_38],
+    ["abs", "--adele", ADELE_38, "extra"],
+    ["abs", "--adele", ADELE_38, "--bogus", "1"],
+    ["abs", "-p", "--adele", ADELE_38],
+    ["witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "x"],
+]
+USAGE = COMMAND_USAGE + FALLBACK_USAGE
 # argvs that parse on either path, in forms argparse also accepts
 ACCEPTED = [
     ["abs", "--adel", ADELE_38],
@@ -429,7 +437,8 @@ class TestParsePaths:
         for argv, stdout in first.values():
             assert transcript(capsys, argv) == (0, stdout, ""), argv
 
-    def test_help_and_usage_errors_build_the_full_parser(self, capsys, monkeypatch):
+    def full_parser_builds(self, monkeypatch, capsys, argvs):
+        """Yield each argv with the number of full parsers it built."""
         calls = []
         full = cli.build_parser
 
@@ -438,32 +447,34 @@ class TestParsePaths:
             return full()
 
         monkeypatch.setattr(cli, "build_parser", counted)
-        for argv in USAGE:
+        for argv in argvs:
             calls.clear()
             transcript(capsys, argv)
-            assert calls == [1], argv
+            yield argv, len(calls)
+
+    def test_a_command_prints_its_own_help_and_usage_errors(self, capsys, monkeypatch):
+        for argv, builds in self.full_parser_builds(monkeypatch, capsys, COMMAND_USAGE):
+            assert builds == 0, argv
+
+    def test_no_command_or_leftovers_build_the_full_parser_once(self, capsys, monkeypatch):
+        for argv, builds in self.full_parser_builds(monkeypatch, capsys, FALLBACK_USAGE):
+            assert builds == 1, argv
 
 
 class TestParserCache:
     """Each command's parser is built on its first request and kept."""
 
-    def test_one_parser_per_command(self, capsys, monkeypatch):
-        built = []
-
-        class Counted(cli._CommandParser):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs["prog"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "_CommandParser", Counted)
+    def test_one_parser_per_command(self, capsys):
         cli._command_parser.cache_clear()
         try:
             for _ in range(2):
                 for argv, code, stdout in GOLDEN:
                     assert transcript(capsys, argv)[:2] == (code, stdout), argv
+            info = cli._command_parser.cache_info()
         finally:
             cli._command_parser.cache_clear()
-        assert sorted(built) == sorted({f"adele {argv[0]}" for argv, _, _ in GOLDEN})
+        commands = {argv[0] for argv, _, _ in GOLDEN}
+        assert info.misses == info.currsize == len(commands)  # one build per command
 
     def test_a_usage_error_leaves_the_cached_parser_as_it_was(self, capsys):
         request = ["witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD]

@@ -30,6 +30,7 @@ from .padic import (
     PadicBall,
     Prime,
     Rational,
+    _split,
     expand,
     extended_prime_key,
     is_infinite_place,
@@ -91,8 +92,8 @@ def _strip(n: int, primes: Iterable) -> int:
     """|n| with every power of the given primes divided out."""
     n = abs(n)
     for p in primes:
-        while n % p == 0:
-            n //= p
+        if n % p == 0:
+            n = _split(n, p)[1]
     return n
 
 

@@ -189,10 +189,7 @@ def parse_neighbourhood(doc: Dict) -> Neighbourhood:
     for key, ball_doc in _require_object(doc["balls"], "balls").items():
         p = parse_prime(key)
         _require_keys(ball_doc, ["center", "radius_exponent"])
-        exponent = ball_doc["radius_exponent"]
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
-            raise ValueError("radius_exponent must be an integer")
-        balls[p] = PadicBall(p, parse_rational(ball_doc["center"]), exponent)
+        balls[p] = PadicBall(p, parse_rational(ball_doc["center"]), ball_doc["radius_exponent"])
     interval = None
     if "real_interval" in doc:
         raw = doc["real_interval"]

@@ -39,11 +39,7 @@ def is_prime(n: int) -> bool:
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = _split(n - 1, 2)
     for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -134,15 +130,15 @@ def iter_primes(start: int = 2) -> Iterator[Prime]:
 
 def prime_factors(n: int) -> dict:
     """Factor a nonzero integer into {Prime: multiplicity} by trial division,
-    which stops once the cofactor passes the primality test (below 2**64)."""
+    which stops once the cofactor passes the primality test (below 2**64).
+    Each factor is split off by ``_split``: its cost follows log(multiplicity)."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n, out, d = abs(n), {}, 2
     cofactor_prime = n < _PRIMALITY_LIMIT and is_prime(n)
     while not cofactor_prime and d * d <= n:
         if n % d == 0:
-            out[Prime(d)] = k = _int_valuation(n, d)
-            n //= d**k
+            out[Prime(d)], n = _split(n, d)
             cofactor_prime = n < _PRIMALITY_LIMIT and is_prime(n)
         d += 2 if d > 2 else 1
     if n > 1:
@@ -150,12 +146,16 @@ def prime_factors(n: int) -> dict:
     return out
 
 
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _split(n: int, p: int) -> Tuple[int, int]:
+    """(v, n // p**v) for v = v_p(n), n nonzero.  A round divides by p, then by
+    p, p**2, p**4, ... while they divide: v costs O(log(v)**2) divisions."""
+    v, k = 0, 2
+    while k > 1 and n % p == 0:  # a round that divided only by p leaves no p
+        n, d, k = n // p, p, 1
+        while n % d == 0:
+            n, d, k = n // d, d * d, k + k
+        v += k
+    return v, n
 
 
 def valuation(q: Rational, p) -> Valuation:
@@ -163,7 +163,7 @@ def valuation(q: Rational, p) -> Valuation:
 
     Returns the unique integer v such that q * p**-v is a p-adic unit,
     and INFINITE_VALUATION exactly when q is zero.  Negative values occur
-    when p divides the denominator.
+    when p divides the denominator.  Its cost follows log(v), not v.
 
     >>> valuation(12, 2)
     2
@@ -172,9 +172,9 @@ def valuation(q: Rational, p) -> Valuation:
     """
     p = p if isinstance(p, Prime) else Prime(p)
     q = q if isinstance(q, Fraction) else Fraction(q)
-    if q.numerator == 0:
-        return INFINITE_VALUATION
-    return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
+    if q.numerator % p:  # in lowest terms p divides the numerator or the denominator, not both
+        return -_split(q.denominator, p)[0]
+    return _split(q.numerator, p)[0] if q.numerator else INFINITE_VALUATION
 
 
 @dataclass(frozen=True)
@@ -229,23 +229,23 @@ def expand(q: Rational, p, precision: int) -> TruncatedPadic:
     The reconstruction p**v * unit_residue agrees with q modulo p**(v + precision).
     """
     p = Prime(p)
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise ValueError(f"precision must be an integer, got {precision!r}")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     q = Fraction(q)
-    v = valuation(q, p)
-    if v == INFINITE_VALUATION:
+    if q == 0:
         return TruncatedPadic(p, INFINITE_VALUATION, None, precision)
-    unit = q * Fraction(p) ** -v
-    residue, _ = _congruence(p, unit.numerator, unit.denominator, precision)
-    return TruncatedPadic(p, v, residue, precision)
+    (v, unit_num), (w, unit_den) = _split(q.numerator, p), _split(q.denominator, p)
+    return TruncatedPadic(p, v - w, _congruence(p, unit_num, unit_den, precision)[0], precision)
 
 
 @dataclass(frozen=True)
 class PadicBall:
     """The set {x : |x - center|_p <= p**-radius_exponent}.
 
-    Membership of a rational x is decided exactly via
-    valuation(x - center, p) >= radius_exponent, read on integers.
+    Membership of a rational x is decided exactly by one divisibility
+    test on integers, never by the valuation of x - center.
     """
 
     prime: Prime
@@ -255,13 +255,18 @@ class PadicBall:
     def __post_init__(self):
         object.__setattr__(self, "prime", Prime(self.prime))
         object.__setattr__(self, "center", Fraction(self.center))
+        if not isinstance(self.radius_exponent, int) or isinstance(self.radius_exponent, bool):
+            raise ValueError("radius_exponent must be an integer")
 
     def contains(self, x: Rational) -> bool:
-        x, c = (x if isinstance(x, Fraction) else Fraction(x)), self.center
-        # x - c = diff / (x_den * c_den) unreduced, and valuation is additive
-        diff = x.numerator * c.denominator - c.numerator * x.denominator
-        den_v = _int_valuation(x.denominator * c.denominator, self.prime)
-        return diff == 0 or _int_valuation(abs(diff), self.prime) - den_v >= self.radius_exponent
+        x, c, p = (x if isinstance(x, (int, Fraction)) else Fraction(x)), self.center, self.prime
+        # x - c = diff / den unreduced, so it lies in the ball exactly when
+        # p**k divides diff, k = radius + v_p(den)
+        diff, den = x.numerator * c.denominator - c.numerator * x.denominator, x.denominator * c.denominator
+        if diff == 0:  # x is the center
+            return True
+        k = self.radius_exponent + _split(den, p)[0] if den % p == 0 else self.radius_exponent
+        return k <= 0 or diff % p**k == 0
 
 
 def ball_contains(ball: PadicBall, x: Rational) -> bool:
@@ -275,19 +280,15 @@ def integer_in_ball(ball: PadicBall) -> int:
     Raises NoIntegerSolution when the center has negative valuation and
     the radius is too small for any integer to reach it.
     """
-    p = ball.prime
-    ell = ball.radius_exponent
-    v_center = valuation(ball.center, p)
-    if v_center < 0:
-        # every integer sits at distance exactly p**-v_center from the center
-        if ell <= v_center:
-            return 0
-        raise NoIntegerSolution(
-            f"no integer within p^-{ell} of {ball.center} at p={int(p)}"
-        )
-    if ell <= 0:
+    if ball.contains(0):
         return 0
-    return _congruence(p, ball.center.numerator, ball.center.denominator, ell)[0]
+    p, c, ell = ball.prime, ball.center, ball.radius_exponent
+    if c.denominator % p == 0:
+        # every integer sits at distance exactly |c|_p > p**-ell from the center
+        raise NoIntegerSolution(
+            f"no integer within p^-{ell} of {c} at p={int(p)}"
+        )
+    return _congruence(p, c.numerator, c.denominator, ell)[0]
 
 
 def crt_solve(congruences: Sequence[Tuple[int, int]]) -> int:

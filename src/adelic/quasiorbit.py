@@ -176,7 +176,7 @@ def is_zero_divisor(a: FiniteAdele) -> bool:
     if not isinstance(a, FiniteAdele):
         raise ValueError("zero divisors live among the finite adeles")
     for p, v in a.explicit.items():
-        if v != 0 and valuation(v, p) < 0:
+        if v.denominator % p == 0:
             raise NotIntegral(f"component {v} at p={int(p)} has negative valuation")
     return a.default.kind == ZERO or any(v == 0 for v in a.explicit.values())
 

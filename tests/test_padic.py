@@ -125,6 +125,11 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(1, 2, 0)
 
+    def test_precision_must_be_an_integer(self):
+        for k in (2.5, 3.0, Fraction(3), True):
+            with pytest.raises(ValueError):
+                expand(Fraction(1, 3), 2, k)
+
     def test_residue_validation(self):
         with pytest.raises(ValueError):
             TruncatedPadic(Prime(2), 0, 2, 3)  # residue divisible by p
@@ -143,6 +148,11 @@ class TestBalls:
         ball = PadicBall(p, Fraction(7, 5) if p != 5 else Fraction(7, 3), ell)
         shifted = x + Fraction(p) ** ell * k
         assert ball.contains(x) == ball.contains(shifted)
+
+    def test_radius_must_be_an_integer(self):
+        for ell in (1.5, 2.0, Fraction(2), True, "2"):
+            with pytest.raises(ValueError):
+                PadicBall(3, Fraction(1, 5), ell)
 
 
 class TestIntegerInBall:
@@ -226,6 +236,7 @@ class TestCrt:
 class TestFactoring:
     def test_prime_factors(self):
         assert prime_factors(360) == {Prime(2): 3, Prime(3): 2, Prime(5): 1}
+        assert prime_factors(-(2**300 * 3**17 * 7**129)) == {Prime(2): 300, Prime(3): 17, Prime(7): 129}
         assert prime_factors(-7) == {Prime(7): 1}
         assert prime_factors(1) == {}
 
@@ -259,7 +270,8 @@ def plain_primes(start, count):
 
 # terms carrying high powers of the small primes, so p shows up in the
 # numerator, the denominator or both sides of a difference
-powers = st.builds(lambda u, p, k: u * p**k, st.integers(-50, 50), st.sampled_from(SMALL_PRIMES), st.integers(0, 12))
+powers = st.builds(lambda u, p, k: u * p**k, st.integers(-50, 50), st.sampled_from(SMALL_PRIMES),
+                   st.integers(0, 12) | st.integers(100, 999))
 kernel_rationals = st.one_of(
     st.integers(-10**6, 10**6),
     st.builds(Fraction, powers, powers.filter(bool)),
@@ -276,7 +288,7 @@ class TestIntegerKernel:
     def test_valuation(self, q, p):
         assert valuation(q, p) == plain_valuation(q, p)
 
-    @given(kernel_rationals, kernel_rationals, prime_args, st.integers(-15, 30))
+    @given(kernel_rationals, kernel_rationals, prime_args, st.integers(-15, 30) | st.integers(-999, 999))
     def test_ball_contains(self, x, centre, p, ell):
         expected = plain_valuation(Fraction(x) - Fraction(centre), p) >= ell
         ball = PadicBall(p, centre, ell)
@@ -369,6 +381,11 @@ class TestFactoringStops:
             assert prime_factors(3 * P) == {3: 1, P: 1}
             assert prime_factors(-P) == {P: 1}
             assert prime_factors(2**5 * 3 * P) == {2: 5, 3: 1, P: 1}
+
+    def test_high_multiplicity_is_split_off_fast(self, deadline):
+        with deadline(1):
+            assert prime_factors(2**100000 * 3) == {2: 100000, 3: 1}
+            assert valuation(3**100000 * 7, 3) == 100000
 
     @given(st.integers(1, 10**7))
     def test_matches_plain_trial_division(self, n):

@@ -368,30 +368,34 @@ def first_scan_hit(a, nbhd):
     return None
 
 
+# small_closed_instances' strategies, built once rather than on every draw
+CLOSED_EXPLICIT = st.dictionaries(st.sampled_from([2, 3, 5]), small_nonzero, max_size=2)
+CLOSED_SIGNS = st.sampled_from([1, -1])
+CLOSED_BALLS = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7]),
+    st.tuples(
+        st.fractions(min_value=-20, max_value=20, max_denominator=8),
+        st.integers(-1, 4),
+    ),
+    max_size=2,
+)
+COUNT_EXPONENTS = st.integers(0, 4)
+COUNTS = [st.integers(1, 10**k) for k in range(5)]
+START_OFFSETS = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
 @st.composite
 def small_closed_instances(draw):
     """An invertible full adele and a neighbourhood with at most 10^4
     candidates n/D in its real interval."""
-    explicit = draw(st.dictionaries(st.sampled_from([2, 3, 5]), small_nonzero, max_size=2))
-    a = full(explicit, DefaultSpec.rational(draw(st.sampled_from([1, -1]))), draw(small_nonzero))
-    balls = {
-        p: PadicBall(p, center, e)
-        for p, (center, e) in draw(
-            st.dictionaries(
-                st.sampled_from([2, 3, 5, 7]),
-                st.tuples(
-                    st.fractions(min_value=-20, max_value=20, max_denominator=8),
-                    st.integers(-1, 4),
-                ),
-                max_size=2,
-            )
-        ).items()
-    }
+    explicit = draw(CLOSED_EXPLICIT)
+    a = full(explicit, DefaultSpec.rational(draw(CLOSED_SIGNS)), draw(small_nonzero))
+    balls = {p: PadicBall(p, center, e) for p, (center, e) in draw(CLOSED_BALLS).items()}
     _, u = factor_idele(a)
     D = closed_denominator(balls)
-    count = draw(st.integers(1, 10 ** draw(st.integers(0, 4))))
+    count = draw(COUNTS[draw(COUNT_EXPONENTS)])
     start = draw(st.integers(-count - 60, 60))
-    lo_t = F(start, D) + draw(st.fractions(min_value=0, max_value=1, max_denominator=6)) / D
+    lo_t = F(start, D) + draw(START_OFFSETS) / D
     interval = (lo_t * u.real_part, (lo_t + F(count, D)) * u.real_part)
     return a, Neighbourhood(balls, real_interval=interval)
 
@@ -709,6 +713,37 @@ class TestFactorFreeVerification:
             assert not orbit_closure_contains(a, b)
             assert not same_quasi_orbit(a, b)
             assert exact_orbit_witness(a, c) == F(1, P)
+
+
+class TestLargeRadius:
+    """Witnesses for the ball B_3(1/5, 10^5), of ~158,000 bits, are built
+    and verified in well under a second: no step divides by 3 once per
+    unit of valuation."""
+
+    E = 10**5
+
+    def in_ball(self, r):
+        # r - 1/5 = (5r - 1) / 5 and 5 is a 3-adic unit
+        x = 5 * r - 1
+        return x.numerator % 3**self.E == 0 and x.denominator % 3 != 0
+
+    def nbhd(self, interval=None):
+        return Neighbourhood({3: PadicBall(3, F(1, 5), self.E)}, real_interval=interval)
+
+    def test_finite(self, deadline):
+        with deadline(1):
+            r = approx_witness(finite({}, DefaultSpec.rational(1)), self.nbhd())
+        assert r.denominator == 1 and self.in_ball(r)
+
+    def test_closed(self, deadline):
+        with deadline(1):
+            r = approx_witness(full({}, DefaultSpec.rational(1), 1), self.nbhd((F(1), F(3**self.E))))
+        assert r.denominator == 1 and 1 < r < 3**self.E and self.in_ball(r)
+
+    def test_case_one(self, deadline):
+        with deadline(1):
+            r = approx_witness(full({2: F(0)}, DefaultSpec.rational(1), 1), self.nbhd((F(1), F(2))))
+        assert r.denominator & (r.denominator - 1) == 0 and 1 < r < 2 and self.in_ball(r)
 
 
 NUMERATOR_PRIMES = (2, 3, 5, 7)

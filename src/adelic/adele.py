@@ -16,6 +16,7 @@ description.  Values are immutable and operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
@@ -372,22 +373,43 @@ class Neighbourhood:
             object.__setattr__(self, "real_interval", (lo, hi))
 
     def contains(self, a: Adele) -> bool:
-        """Exact membership of a finitely described adele."""
-        full = _check_kind(a, self)
-        explicit, default = a.explicit, a.default
-        for p, ball in self.balls.items():
-            v = explicit.get(p)
-            if not ball.contains(default.value_at(p) if v is None else v):
-                return False
-        # defaults are integral by construction; an explicit v strays where p divides its denominator
-        for p, v in explicit.items():
-            if p not in self.balls and v.denominator % p == 0:
-                return False
-        if full:
-            lo, hi = self.real_interval
-            if not lo < a.real_part < hi:
-                return False
-        return True
+        """Exact membership of a finitely described adele.
+
+        This is the r = 1 case of the rule ``_scaled_in`` applies to r * a,
+        which ``approx_witness`` also checks its witness by.  At each ball
+        prime and each explicit prime, r * a_p must lie in the ball, or in
+        Z_p = B(0, 0) where there is none.  Off those places the component
+        is r times the default rule's, so the default must absorb rest, the
+        part of r's denominator prime to the places: a ZERO default always
+        does, RATIONAL(q) when rest divides q's numerator, and TIMES_P(q)
+        when rest divides q's numerator times the product of the distinct
+        primes the caller names, each of which adds its own factor p.  At
+        r = 1 rest is 1, as the FiniteAdele invariant keeps every default
+        integral off the explicit primes.  A full adele's r * a_oo must
+        lie in the open real interval.
+        """
+        return _scaled_in(self, 1, a)
+
+
+def _scaled_in(nbhd: Neighbourhood, r: Rational, a: Adele, primes: Iterable = ()) -> bool:
+    """Whether r * a lies in nbhd, by the rule of Neighbourhood.contains,
+    decided without building r * a.  Leaving out a prime of rest can turn
+    a True into a False, never the other way."""
+    full = _check_kind(a, nbhd)
+    explicit, default, balls = a.explicit, a.default, nbhd.balls
+    places = balls.keys() | explicit.keys()
+    for p in places:
+        v = explicit.get(p)
+        x = (default.value_at(p) if v is None else v) * r
+        if not (balls[p].contains(x) if p in balls else x.denominator % p):  # Z_p = B(0, 0)
+            return False
+    # off the places the default absorbs the rest of r's denominator; value_at gives 0, q or q * prod(primes)
+    if default.value_at(math.prod(set(primes))).numerator % _strip(r.denominator, places):
+        return False
+    if full:
+        lo, hi = nbhd.real_interval
+        return lo < a.real_part * r < hi
+    return True
 
 
 def _check_kind(a: Adele, nbhd: Neighbourhood) -> bool:

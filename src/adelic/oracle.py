@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO
 from .adele import _check_kind, _default_primes
-from .padic import Prime, valuation
+from .padic import Prime, _require_int, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
 
@@ -45,6 +45,8 @@ class SearchBudget:
     precision: int = 3
 
     def __post_init__(self):
+        _require_int(self.height_bound, "height_bound")
+        _require_int(self.precision, "precision")
         if self.height_bound < 1 or self.precision < 1:
             raise ValueError("all search bounds must be >= 1")
         object.__setattr__(

@@ -32,6 +32,12 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_LIMIT = 2**64
 
 
+def _require_int(value, name: str) -> None:
+    """Reject anything but an int, a bool included, with ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact below 2**64."""
     if n < 2:
@@ -110,7 +116,7 @@ _PRIMES: Tuple[Prime, ...] = (int.__new__(Prime, 2),)
 
 def iter_primes(start: int = 2) -> Iterator[Prime]:
     """Yield the primes >= start in increasing order, forever: from the
-    shared list, doubled when a walk runs off its end, or past it by testing."""
+    shared list, grown when a walk runs off its end, or past it by testing."""
     global _PRIMES
     primes = _PRIMES
     n = start
@@ -122,10 +128,21 @@ def iter_primes(start: int = 2) -> Iterator[Prime]:
     while True:
         if i == len(primes):
             primes = _PRIMES  # perhaps grown by another walk
-            if len(primes) <= i:
-                primes = _PRIMES = primes + tuple(itertools.islice(iter_primes(primes[-1] + 1), i))
+            while len(primes) <= i:  # a walk with an older list may have published a shorter one
+                primes = _PRIMES = primes + _sieve_past(primes)
         yield primes[i]
         i += 1
+
+
+def _sieve_past(primes: Tuple[Prime, ...]) -> Tuple[Prime, ...]:
+    """The primes in (P, 2P] for P = primes[-1], at least one by Bertrand's
+    postulate, sieved by the listed primes up to sqrt(2P) <= P."""
+    lo, hi = primes[-1] + 1, 2 * primes[-1]
+    sieve = bytearray([1]) * (hi - lo + 1)  # sieve[n - lo] stays 1 while n may be prime
+    for p in itertools.takewhile(lambda p: p * p <= hi, primes):
+        first = max(p * p, -(-lo // p) * p) - lo
+        sieve[first::p] = bytes(len(range(first, len(sieve), p)))
+    return tuple(int.__new__(Prime, n) for n in itertools.compress(range(lo, hi + 1), sieve))
 
 
 def prime_factors(n: int) -> dict:
@@ -193,14 +210,14 @@ class TruncatedPadic:
 
     def __post_init__(self):
         object.__setattr__(self, "prime", Prime(self.prime))
+        _require_int(self.precision, "precision")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         if self.valuation == INFINITE_VALUATION:
             if self.unit_residue is not None:
                 raise ValueError("zero has no unit residue")
         else:
-            if not isinstance(self.valuation, int):
-                raise ValueError("finite valuation must be an integer")
+            _require_int(self.valuation, "finite valuation")
             r = self.unit_residue
             if r is None or not 1 <= r < self.prime**self.precision or r % self.prime == 0:
                 raise ValueError("unit residue must lie in [1, p^k - 1] and be coprime to p")
@@ -229,8 +246,7 @@ def expand(q: Rational, p, precision: int) -> TruncatedPadic:
     The reconstruction p**v * unit_residue agrees with q modulo p**(v + precision).
     """
     p = Prime(p)
-    if not isinstance(precision, int) or isinstance(precision, bool):
-        raise ValueError(f"precision must be an integer, got {precision!r}")
+    _require_int(precision, "precision")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     q = Fraction(q)
@@ -255,8 +271,7 @@ class PadicBall:
     def __post_init__(self):
         object.__setattr__(self, "prime", Prime(self.prime))
         object.__setattr__(self, "center", Fraction(self.center))
-        if not isinstance(self.radius_exponent, int) or isinstance(self.radius_exponent, bool):
-            raise ValueError("radius_exponent must be an integer")
+        _require_int(self.radius_exponent, "radius_exponent")
 
     def contains(self, x: Rational) -> bool:
         x, c, p = (x if isinstance(x, (int, Fraction)) else Fraction(x)), self.center, self.prime

@@ -5,7 +5,7 @@ full adeles, componentwise at every place.  Everything here is exact:
 orbit-closure membership is decided from zero sets and idele
 factorizations, and ``approx_witness`` *constructs* a rational r placing
 r*a inside a requested neighbourhood, via a Chinese Remainder argument,
-then verifies the result before returning it.
+then checks the result in place before returning it.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .adele import (
     ZERO,
     factor_idele,
     is_invertible,
-    scale,
     zero_set,
 )
-from .adele import _check_kind, _default_primes, _idele_rational
+from .adele import _check_kind, _default_primes, _idele_rational, _scaled_in
 from .errors import ClosedOrbitMiss, Infeasible, NotIntegral
 from .padic import (
     _congruence,
@@ -207,7 +206,12 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     or there is none and the orbit misses the neighbourhood.
 
     All free choices are pinned so the returned witness is canonical and
-    reproducible.  The result is verified exactly before being returned.
+    reproducible.  The result is checked exactly before it is returned,
+    by the rule of Neighbourhood.contains applied to r * a in place
+    (adele._scaled_in): r * a is never built and nothing is factored.
+    The ball primes, the explicit primes and the real interval are tested
+    directly; elsewhere the default must absorb r's denominator, which
+    for a TIMES_P default takes the tail primes Case II drew.
 
     Raises Infeasible on a zero-pattern conflict and ClosedOrbitMiss when
     an invertible full adele's closed orbit misses the neighbourhood.
@@ -250,7 +254,7 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
             cong_data.append((p, e_p, centre / a_p))
 
     # denominator growth for real-interval control (dense full case only)
-    tail_factor, tail_primes = 1, None
+    tail_factor, tail_primes, drawn = 1, None, []
     if full and real != 0 and not closed:
         modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
         # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
@@ -268,7 +272,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         else:  # Case II: nothing vanishes, so the default is TIMES_P
             tail_primes = _default_primes(a, skip=frozenset(nbhd.balls))
         while tail_factor <= threshold:
-            tail_factor *= next(tail_primes)
+            drawn.append(next(tail_primes))
+            tail_factor *= drawn[-1]
 
     # The tail growth made the open numerator range longer than the
     # modulus, so it holds a progression term and only a lone 0 can be
@@ -285,11 +290,12 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
             break
         if closed:
             raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
-        tail_factor *= next(tail_primes)
+        drawn.append(next(tail_primes))
+        tail_factor *= drawn[-1]
     r = Fraction(numerator, denominator)
     if closed:
         r /= r0
-    if not nbhd.contains(scale(r, a)):
+    if not _scaled_in(nbhd, r, a, drawn):
         raise AssertionError(f"constructed witness {r} failed verification")
     return r
 

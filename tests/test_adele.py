@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic.adele import _scaled_in
 from adelic.adele import (
     EXTENDED_PRIMES,
     FINITE_PRIMES,
@@ -333,6 +335,70 @@ class TestNeighbourhood:
     def test_ball_must_sit_at_its_key(self):
         with pytest.raises(ValueError):
             Neighbourhood({3: PadicBall(2, F(0), 1)})
+
+
+PLACES = (2, 3, 5, 7, 11)
+DENOMINATOR_PRIMES = PLACES + (13, 17)
+
+
+@st.composite
+def scaled_memberships(draw):
+    """(a, nbhd, r) where r's denominator reaches primes off the places,
+    a default numerator often shares its primes, explicit entries may
+    vanish, and each ball's centre sits at, near or away from r * a_p."""
+    den = math.prod(p ** draw(st.integers(0, 2)) for p in DENOMINATOR_PRIMES)
+    r = F(draw(st.integers(-30, 30).filter(bool)), den)
+    kind = draw(st.sampled_from(["zero", "rational", "times_p"]))
+    default, explicit = DefaultSpec.zero(), {}
+    if kind != "zero":
+        shared = math.prod(p ** draw(st.integers(0, 2)) for p in DENOMINATOR_PRIMES)
+        default = DefaultSpec(kind, F(draw(st.sampled_from([1, -1, 2, -3])) * shared, draw(st.sampled_from([1, 2, 15]))))
+        explicit = {p: default.value_at(p) for p in PLACES if default.q.denominator % p == 0}
+    for p in draw(st.sets(st.sampled_from(PLACES), max_size=3)):
+        explicit[p] = draw(st.sampled_from([F(0), F(1), F(p), F(1, p), F(-2, p * p), F(3, 4)]))
+    a = FiniteAdele(explicit, default)
+    balls = {}
+    for p in draw(st.sets(st.sampled_from(PLACES), max_size=3)):
+        e, x = draw(st.integers(-2, 4)), r * a.component(p)
+        where = draw(st.sampled_from(["at", "near", "away"]))
+        if where == "at":
+            centre = x
+        elif where == "near":  # |x - centre|_p is p**-e, p**-(e + 1) or p**-(e - 1)
+            centre = x + F(p) ** e * draw(st.sampled_from([1, -1, p, F(1, p)]))
+        else:
+            centre = draw(st.sampled_from([F(0), F(1, 3), F(-7, 2), F(5)]))
+        balls[p] = PadicBall(p, centre, e)
+    if not draw(st.booleans()):
+        return a, Neighbourhood(balls), r
+    real = draw(st.sampled_from([F(0), F(1), F(-5, 3)]))
+    lo = r * real + draw(st.sampled_from([F(-1), F(-1, 8), F(0), F(1, 8)]))
+    hi = lo + draw(st.sampled_from([F(1, 8), F(1), F(5)]))
+    return FullAdele(a, real), Neighbourhood(balls, real_interval=(lo, hi)), r
+
+
+class TestScaledMembership:
+    """The rule that decides r * a in U without building r * a, against
+    building it with scale and testing it with contains."""
+
+    @settings(max_examples=200)
+    @given(scaled_memberships())
+    def test_matches_scale_and_contains(self, case):
+        a, nbhd, r = case
+        expected = nbhd.contains(scale(r, a))
+        places = nbhd.balls.keys() | a.explicit.keys()
+        rest_primes = [p for p in DENOMINATOR_PRIMES if r.denominator % p == 0 and p not in places]
+        assert _scaled_in(nbhd, r, a, rest_primes) == expected
+        assert _scaled_in(nbhd, r, a, DENOMINATOR_PRIMES) == expected  # primes at the places count for nothing
+        for left_out in rest_primes:
+            if _scaled_in(nbhd, r, a, [p for p in rest_primes if p != left_out]):
+                assert expected
+
+    def test_times_p_absorbs_one_factor_per_given_prime(self):
+        a = finite({}, DefaultSpec.times_p(1))
+        nbhd = Neighbourhood({})
+        assert nbhd.contains(scale(F(1, 13), a)) and not nbhd.contains(scale(F(1, 169), a))
+        assert _scaled_in(nbhd, F(1, 13), a, [13, 13]) and not _scaled_in(nbhd, F(1, 169), a, [13, 13])
+        assert not _scaled_in(nbhd, F(1, 13), a)
 
 
 PRIMES = (2, 3, 5, 7)

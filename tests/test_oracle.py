@@ -93,6 +93,12 @@ class TestWitnessSearch:
         with pytest.raises(ValueError):
             SearchBudget(height_bound=0)
 
+    @pytest.mark.parametrize("bounds", [{"height_bound": 10.5}, {"height_bound": True}, {"height_bound": F(10)},
+                                        {"precision": 2.5}, {"precision": True}, {"precision": 3.0}])
+    def test_non_integer_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchBudget(**bounds)
+
     def test_kind_discipline(self):
         with pytest.raises(ValueError):
             witness_by_search(embed_rational(1, kind="full"), Neighbourhood({}))

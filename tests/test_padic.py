@@ -129,6 +129,10 @@ class TestExpand:
         for k in (2.5, 3.0, Fraction(3), True):
             with pytest.raises(ValueError):
                 expand(Fraction(1, 3), 2, k)
+            with pytest.raises(ValueError, match="precision must be an integer"):
+                TruncatedPadic(Prime(2), 0, 1, k)
+        with pytest.raises(ValueError, match="valuation must be an integer"):
+            TruncatedPadic(Prime(2), True, 1, 3)
 
     def test_residue_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import signal
 import sys
@@ -288,7 +289,7 @@ class TestApproxWitnessFull:
 
     def test_case_two_walks_the_shared_prime_list(self, monkeypatch):
         # the tail primes come from padic's shared list: once it has grown,
-        # a repeated construction runs no primality test in the walk
+        # a repeated construction neither sieves nor tests a prime in the walk
         monkeypatch.setattr(padic, "_PRIMES", padic._PRIMES[:1])
         walked = []
 
@@ -297,7 +298,14 @@ class TestApproxWitnessFull:
                 walked.append(n)
             return is_prime(n)
 
+        sieve = padic._sieve_past
+
+        def sieved(primes):
+            walked.append(primes[-1])
+            return sieve(primes)
+
         monkeypatch.setattr(padic, "is_prime", counted)
+        monkeypatch.setattr(padic, "_sieve_past", sieved)
         a = full({}, DefaultSpec.times_p(1), F(1))
         nbhd = Neighbourhood({2: PadicBall(2, F(5), 2), 3: PadicBall(3, F(1), 1)}, real_interval=(F(10), F(10) + F(1, 10**40)))
         first = approx_witness(a, nbhd)
@@ -744,6 +752,58 @@ class TestLargeRadius:
         with deadline(1):
             r = approx_witness(full({2: F(0)}, DefaultSpec.rational(1), 1), self.nbhd((F(1), F(2))))
         assert r.denominator & (r.denominator - 1) == 0 and 1 < r < 2 and self.in_ball(r)
+
+    def test_case_two(self, deadline):
+        with deadline(1):
+            r = approx_witness(full({}, DefaultSpec.times_p(1), 1), self.nbhd((F(1), F(2))))
+        assert 1 < r < 2 and self.in_ball(3 * r)  # the component at 3 is 1 * 3
+        # r * p is p-integral at every prime exactly when the denominator is squarefree
+        primes = itertools.takewhile(lambda p: p < 2 * 10**5, padic.iter_primes())
+        assert math.prod(primes) % r.denominator == 0
+
+
+class TestWitnessCheckedInPlace:
+    """approx_witness checks its witness place by place and never builds
+    r * a: it calls neither scale nor prime_factors nor contains."""
+
+    BALL = {3: PadicBall(3, F(1, 5), 2)}
+    CASES = {
+        "finite": (finite({2: F(1, 2)}, DefaultSpec.rational(3)),
+                   Neighbourhood({3: PadicBall(3, F(1), 2), 5: PadicBall(5, F(2), 1)}), F(82, 3)),
+        "case_one": (full({2: F(0)}, DefaultSpec.rational(1), 1),
+                     Neighbourhood(BALL, real_interval=(F(1), F(9, 8))), F(65, 64)),
+        "case_one_zero_default": (full({3: F(1, 3)}, DefaultSpec.zero(), 2),
+                                  Neighbourhood({3: PadicBall(3, F(1), 1)}, real_interval=(F(1), F(17, 16))), F(129, 256)),
+        # the tail primes 7, 11, 13 and 17 stay in the witness's denominator
+        "case_two": (full({2: F(1, 2)}, DefaultSpec.times_p(F(5, 2)), 1),
+                     Neighbourhood({3: PadicBall(3, F(1, 5), 3)}, real_interval=(F(1), F(101, 100))), F(51104, 51051)),
+        # r = t / 7 leaves 7 in the denominator, for the default 7 to absorb
+        "closed": (full({}, DefaultSpec.rational(7), 7), Neighbourhood(BALL, real_interval=(F(1), F(100))), F(2, 7)),
+        "closed_miss": (full({}, DefaultSpec.rational(1), 1), Neighbourhood(BALL, real_interval=(F(2), F(3))), ClosedOrbitMiss),
+        "infeasible": (finite({2: F(0)}, DefaultSpec.rational(1)), Neighbourhood({2: PadicBall(2, F(1), 1)}), Infeasible),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_builds_no_scaled_adele(self, case, monkeypatch):
+        a, nbhd, expected = self.CASES[case]
+        if isinstance(expected, F):
+            assert nbhd.contains(scale(expected, a))
+
+        def forbidden(*args):
+            raise AssertionError("the witness check must not build r * a")
+
+        for original in (adele.scale, padic.prime_factors):
+            for name, module in list(sys.modules.items()):
+                if name == "adelic" or name.startswith("adelic."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, forbidden)
+        monkeypatch.setattr(Neighbourhood, "contains", forbidden)
+        if isinstance(expected, F):
+            assert approx_witness(a, nbhd) == expected
+        else:
+            with pytest.raises(expected):
+                approx_witness(a, nbhd)
 
 
 NUMERATOR_PRIMES = (2, 3, 5, 7)

@@ -31,6 +31,7 @@ from .padic import (
     PadicBall,
     Prime,
     Rational,
+    _fraction,
     _split,
     expand,
     extended_prime_key,
@@ -64,7 +65,7 @@ class DefaultSpec:
             if self.q is not None:
                 raise ValueError("zero default carries no rational")
         else:
-            q = Fraction(self.q)
+            q = _fraction(self.q)
             if q == 0:
                 raise ValueError("rational/times_p default must be nonzero")
             object.__setattr__(self, "q", q)
@@ -75,11 +76,11 @@ class DefaultSpec:
 
     @classmethod
     def rational(cls, q: Rational) -> "DefaultSpec":
-        return cls(RATIONAL, Fraction(q))
+        return cls(RATIONAL, q)
 
     @classmethod
     def times_p(cls, q: Rational) -> "DefaultSpec":
-        return cls(TIMES_P, Fraction(q))
+        return cls(TIMES_P, q)
 
     def value_at(self, p: Prime) -> Fraction:
         if self.kind == ZERO:
@@ -100,7 +101,7 @@ def _strip(n: int, primes: Iterable) -> int:
 
 def _normalize_explicit(explicit) -> Dict[Prime, Fraction]:
     # dict keys are distinct numbers and Prime(p) == p, so no two collide
-    return dict(sorted((Prime(p), Fraction(v)) for p, v in dict(explicit).items()))
+    return dict(sorted((Prime(p), _fraction(v)) for p, v in dict(explicit).items()))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,9 @@ class FiniteAdele:
     product.  Primes of the numerator may stay implicit, since the
     restricted product bounds denominators only; checking the invariant
     divides the explicit primes out of the denominator and factors
-    nothing.
+    nothing.  Every finite adele the library builds, the results of
+    ``scale`` and ``factor_idele`` included, comes through this
+    constructor and its check; there is no unchecked path.
     """
 
     explicit: Dict[Prime, Fraction]
@@ -131,16 +134,6 @@ class FiniteAdele:
                     f"default rational {self.default.q} has denominator cofactor {cofactor} "
                     "outside the explicit map"
                 )
-
-    @classmethod
-    def _trusted(cls, explicit: Dict[Prime, Fraction], default: DefaultSpec) -> "FiniteAdele":
-        # internal fast path for callers that maintain the invariants
-        # themselves (scaling never breaks them); skips re-checking the
-        # default's denominator
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "explicit", dict(sorted(explicit.items())))
-        object.__setattr__(obj, "default", default)
-        return obj
 
     def component(self, p) -> Fraction:
         """The exact rational component at a finite prime."""
@@ -202,7 +195,7 @@ class FullAdele:
     def __post_init__(self):
         if not isinstance(self.finite_part, FiniteAdele):
             raise ValueError("finite_part must be a FiniteAdele")
-        object.__setattr__(self, "real_part", Fraction(self.real_part))
+        object.__setattr__(self, "real_part", _fraction(self.real_part))
 
     @property
     def explicit(self) -> Dict[Prime, Fraction]:
@@ -236,7 +229,7 @@ class FullAdele:
         return hash(self.sort_key())
 
     def __repr__(self) -> str:
-        return f"FullAdele({self.finite_part!r}, real={self.real_part})"
+        return f"{type(self).__name__}({self.finite_part!r}, real={self.real_part})"
 
 
 class UnitIdele(FullAdele):
@@ -259,9 +252,6 @@ class UnitIdele(FullAdele):
             raise ValueError(
                 f"default rational {self.default.q} is not a unit outside the explicit map"
             )
-
-    def __repr__(self) -> str:
-        return f"UnitIdele({self.finite_part!r}, real={self.real_part})"
 
 
 Adele = Union[FiniteAdele, FullAdele]
@@ -367,7 +357,7 @@ class Neighbourhood:
         object.__setattr__(self, "balls", dict(sorted(normalized.items())))
         if self.real_interval is not None:
             lo, hi = self.real_interval
-            lo, hi = Fraction(lo), Fraction(hi)
+            lo, hi = _fraction(lo), _fraction(hi)
             if not lo < hi:
                 raise ValueError("real interval must be nonempty")
             object.__setattr__(self, "real_interval", (lo, hi))
@@ -428,7 +418,7 @@ def embed_rational(q: Rational, kind: str = "finite") -> Adele:
 
     Only q's denominator is factored: the FiniteAdele invariant lists its
     primes, and the default rule gives q at every other place."""
-    q = Fraction(q)
+    q = _fraction(q)
     explicit = {p: q for p in prime_factors(q.denominator)}
     default = DefaultSpec.zero() if q == 0 else DefaultSpec.rational(q)
     fin = FiniteAdele(explicit, default)
@@ -445,26 +435,24 @@ def scale(r: Rational, a: Adele) -> Adele:
     Primes of the new default rational's denominator that are not yet
     explicit migrate into the explicit map, so the default-rule invariant
     survives.  Only that cofactor is ever factored, never the numerator
-    of r.
+    of r.  The result is built by the public constructors, which check it
+    like any other adele.
     """
-    r = Fraction(r)
+    r = _fraction(r)
     if r == 0:
         raise ValueError("scaling factor must be nonzero")
-    if isinstance(a, FullAdele):
-        return FullAdele(_scale_finite(r, a.finite_part), a.real_part * r)
-    return _scale_finite(r, a)
-
-
-def _scale_finite(r: Fraction, a: FiniteAdele) -> FiniteAdele:
     explicit = {p: v * r for p, v in a.explicit.items()}
-    if a.default.kind == ZERO:
-        return FiniteAdele._trusted(explicit, a.default)
-    default = DefaultSpec(a.default.kind, a.default.q * r)
-    cofactor = _strip(default.q.denominator, explicit)
-    if cofactor > 1:
-        for p in prime_factors(cofactor):
-            explicit[p] = a.default.value_at(p) * r
-    return FiniteAdele._trusted(explicit, default)
+    default = a.default
+    if default.kind != ZERO:
+        default = DefaultSpec(default.kind, default.q * r)
+        cofactor = _strip(default.q.denominator, explicit)
+        if cofactor > 1:
+            for p in prime_factors(cofactor):
+                explicit[p] = a.default.value_at(p) * r
+    fin = FiniteAdele(explicit, default)
+    if isinstance(a, FullAdele):
+        return FullAdele(fin, a.real_part * r)
+    return fin
 
 
 def component(a: Adele, p, precision: Optional[int] = None):
@@ -569,4 +557,4 @@ def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     if not isinstance(a, FullAdele) or not is_invertible(a):
         raise NotInvertible("only invertible full adeles factor through the units")
     r = _idele_rational(a)
-    return r, UnitIdele(_scale_finite(1 / r, a.finite_part), a.real_part / r)
+    return r, UnitIdele(scale(1 / r, a.finite_part), a.real_part / r)

@@ -30,6 +30,9 @@ Valuation = Union[int, float]
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIMALITY_LIMIT = 2**64
+#: Below this bound the twelve bases decide primality exactly (Sorenson and
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MILLER_RABIN_EXACT = 318665857834031151167461
 
 
 def _require_int(value, name: str) -> None:
@@ -38,8 +41,14 @@ def _require_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer")
 
 
+def _fraction(q) -> Fraction:
+    """q as a Fraction: a Fraction comes back as the same object, which is
+    safe since Fraction is immutable, and anything else is converted."""
+    return q if isinstance(q, Fraction) else Fraction(q)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact below 2**64."""
+    """Deterministic Miller-Rabin primality test, exact below _MILLER_RABIN_EXACT."""
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
@@ -147,16 +156,17 @@ def _sieve_past(primes: Tuple[Prime, ...]) -> Tuple[Prime, ...]:
 
 def prime_factors(n: int) -> dict:
     """Factor a nonzero integer into {Prime: multiplicity} by trial division,
-    which stops once the cofactor passes the primality test (below 2**64).
+    which stops once the cofactor passes the primality test (below
+    _MILLER_RABIN_EXACT, where it is exact; Prime rejects 2**64 and above).
     Each factor is split off by ``_split``: its cost follows log(multiplicity)."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n, out, d = abs(n), {}, 2
-    cofactor_prime = n < _PRIMALITY_LIMIT and is_prime(n)
+    cofactor_prime = n < _MILLER_RABIN_EXACT and is_prime(n)
     while not cofactor_prime and d * d <= n:
         if n % d == 0:
             out[Prime(d)], n = _split(n, d)
-            cofactor_prime = n < _PRIMALITY_LIMIT and is_prime(n)
+            cofactor_prime = n < _MILLER_RABIN_EXACT and is_prime(n)
         d += 2 if d > 2 else 1
     if n > 1:
         out[Prime(n)] = 1
@@ -188,7 +198,7 @@ def valuation(q: Rational, p) -> Valuation:
     -2
     """
     p = p if isinstance(p, Prime) else Prime(p)
-    q = q if isinstance(q, Fraction) else Fraction(q)
+    q = _fraction(q)
     if q.numerator % p:  # in lowest terms p divides the numerator or the denominator, not both
         return -_split(q.denominator, p)[0]
     return _split(q.numerator, p)[0] if q.numerator else INFINITE_VALUATION
@@ -249,7 +259,7 @@ def expand(q: Rational, p, precision: int) -> TruncatedPadic:
     _require_int(precision, "precision")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    q = Fraction(q)
+    q = _fraction(q)
     if q == 0:
         return TruncatedPadic(p, INFINITE_VALUATION, None, precision)
     (v, unit_num), (w, unit_den) = _split(q.numerator, p), _split(q.denominator, p)
@@ -270,7 +280,7 @@ class PadicBall:
 
     def __post_init__(self):
         object.__setattr__(self, "prime", Prime(self.prime))
-        object.__setattr__(self, "center", Fraction(self.center))
+        object.__setattr__(self, "center", _fraction(self.center))
         _require_int(self.radius_exponent, "radius_exponent")
 
     def contains(self, x: Rational) -> bool:

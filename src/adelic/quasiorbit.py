@@ -185,9 +185,9 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
 
     The algorithm mirrors the constructive orbit-closure proofs.  Each
     ball constraint at a prime p with nonvanishing component is rewritten
-    as a ball for r itself, a triple (p, e, gamma); once the denominator
-    is fixed, _pick_numerator turns each triple into one congruence on
-    the numerator and merges them by crt_solve.
+    as a ball for r itself, a triple (p, e, gamma), and so as one congruence
+    on the numerator over the core denominator; crt_solve merges them once,
+    and a tail t on the denominator multiplies the solution by t.
     Off the balls r * a_p must be integral, which is the ball B(0, 0):
     the explicit primes without a ball go through the same rewrite.
     For dense full adeles with a nonzero real coordinate the denominator is
@@ -253,10 +253,17 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         if e_p >= 1:
             cong_data.append((p, e_p, centre / a_p))
 
+    # one CRT per witness: over denominator_core * t the solution is base * t mod modulus
+    congruences = []
+    for p, e, gamma in cong_data:
+        g = math.gcd(denominator_core, gamma.denominator)  # gamma * denominator_core in lowest terms
+        congruences.append(_congruence(p, gamma.numerator * (denominator_core // g), gamma.denominator // g, e))
+    base = crt_solve(congruences)
+    modulus = math.prod(m for _, m in congruences)
+
     # denominator growth for real-interval control (dense full case only)
     tail_factor, tail_primes, drawn = 1, None, []
     if full and real != 0 and not closed:
-        modulus = math.prod(int(p) ** e for p, e, _ in cong_data)
         # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
         width = hi - lo
         threshold = abs(real.numerator) * width.denominator * modulus // (
@@ -285,7 +292,7 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         bounds = (0, math.inf)
         if full and real != 0:
             bounds = (lo * denominator / real, hi * denominator / real)
-        numerator = _pick_numerator(cong_data, denominator, bounds)
+        numerator = _pick_numerator(base * tail_factor % modulus, modulus, bounds)
         if numerator is not None:
             break
         if closed:
@@ -300,20 +307,11 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     return r
 
 
-def _pick_numerator(cong_data, denominator: int, bounds) -> Optional[int]:
-    """The first nonzero numerator n strictly between the bounds (the ends
-    of an open interval, in either order) with n / denominator in the
-    ball B(gamma, e) of each (p, e, gamma) triple, or None.  The
-    denominator makes gamma * denominator p-integral, so each triple is
-    one congruence on n.  Bounds (0, math.inf) give the smallest positive
-    solution.
+def _pick_numerator(base: int, modulus: int, bounds) -> Optional[int]:
+    """The first nonzero n = base (mod modulus) strictly between the bounds
+    (the ends of an open interval, in either order), or None.  Bounds
+    (0, math.inf) give the smallest positive solution.
     """
-    congruences = []
-    for p, e, gamma in cong_data:
-        g = math.gcd(denominator, gamma.denominator)  # gamma * denominator in lowest terms
-        congruences.append(_congruence(p, gamma.numerator * (denominator // g), gamma.denominator // g, e))
-    base = crt_solve(congruences)
-    modulus = math.prod(m for _, m in congruences)
     first, last = sorted(bounds)
     n = base + ((first - base) // modulus + 1) * modulus  # exact Fraction floor
     while n < last:

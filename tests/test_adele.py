@@ -9,6 +9,7 @@ from adelic.adele import _scaled_in
 from adelic.adele import (
     EXTENDED_PRIMES,
     FINITE_PRIMES,
+    RATIONAL,
     DefaultSpec,
     FiniteAdele,
     FullAdele,
@@ -86,6 +87,17 @@ class TestConstruction:
             UnitIdele(FiniteAdele({}, DefaultSpec.rational(2)), F(1))
         UnitIdele(FiniteAdele({2: F(1)}, DefaultSpec.rational(2)), F(1))
 
+    def test_constructors_keep_a_given_fraction(self):
+        # a Fraction is immutable, so normalising one returns the same object
+        x, y = F(3, 7), F(5, 2)
+        a = FullAdele(finite({7: x}, DefaultSpec.rational(x)), x)
+        assert a.real_part is x and a.explicit[7] is x and a.default.q is x
+        assert DefaultSpec.rational(x).q is x and DefaultSpec.times_p(x).q is x
+        assert PadicBall(2, x, 1).center is x
+        lo, hi = Neighbourhood({}, (x, y)).real_interval
+        assert lo is x and hi is y
+        assert embed_rational(x, "full").real_part is x
+
 
 class TestEmbed:
     def test_six(self):
@@ -141,6 +153,35 @@ class TestScale:
                 b = scale(r, finite({}, DefaultSpec.rational(1)))
             assert b.explicit[P] == r and b.default == DefaultSpec.rational(r)
             assert set(b.explicit) == {p for p in (3, P) if r.denominator % p == 0}
+
+    def test_prime_cofactor_past_2_64_is_rejected_at_once(self, deadline):
+        # the cofactor passes the primality test, so Prime's "too large"
+        # check ends the call instead of trial division toward 2**32
+        r = F(1, 2**64 + 13)
+        with deadline(1):
+            with pytest.raises(ValueError, match="too large"):
+                scale(r, finite({}, DefaultSpec.rational(1)))
+            with pytest.raises(ValueError, match="too large"):
+                embed_rational(r)
+
+    def test_results_pass_the_constructor_check(self, monkeypatch):
+        checked = []
+        post_init = FiniteAdele.__post_init__
+
+        def spy(self):
+            post_init(self)
+            checked.append(self)
+
+        monkeypatch.setattr(FiniteAdele, "__post_init__", spy)
+        for a in (
+            full({3: F(1)}, DefaultSpec.rational(1), F(2)),
+            finite({5: F(0)}, DefaultSpec.zero()),
+            finite({5: F(1)}, DefaultSpec.times_p(F(2, 5))),
+        ):
+            b = scale(F(7, 15), a)
+            assert any(c is getattr(b, "finite_part", b) for c in checked)
+        u = factor_idele(full({3: F(6)}, DefaultSpec.rational(F(4, 3)), F(2)))[1]
+        assert any(c is u.finite_part for c in checked)
 
     @given(small_nonzero, small_nonzero)
     def test_action_composes(self, r, s):
@@ -487,3 +528,32 @@ class TestCanonicalKey:
         a = FullAdele(FiniteAdele({}, DefaultSpec.rational(1)), F(2))
         assert u == a and a == u and hash(u) == hash(a)
         assert a.finite_part != a
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: DefaultSpec("bogus"), ValueError, "unknown default kind 'bogus'", id="default-kind"),
+    pytest.param(lambda: FiniteAdele({}, RATIONAL), ValueError, "default must be a DefaultSpec", id="finite-default"),
+    pytest.param(lambda: FullAdele({}, 1), ValueError, "finite_part must be a FiniteAdele", id="full-finite-part"),
+    pytest.param(lambda: PrimeSet("bogus", "finite", frozenset()), ValueError, "unknown base 'bogus'", id="set-base"),
+    pytest.param(lambda: PrimeSet(FINITE_PRIMES, "bogus", frozenset()), ValueError, "unknown kind 'bogus'",
+                 id="set-kind"),
+    pytest.param(lambda: embed_rational(1, "bogus"), ValueError, "kind must be 'finite' or 'full', got 'bogus'",
+                 id="embed-kind"),
+    pytest.param(lambda: component(embed_rational(1), 2), ValueError, "precision is required at a finite prime",
+                 id="component-precision"),
+    pytest.param(lambda: is_invertible(embed_rational(1)), ValueError, "invertibility is a full-adele notion",
+                 id="invertible-finite"),
+    pytest.param(lambda: xi_partial(embed_rational(1), [2]), ValueError, "xi_partial is a full-adele operation",
+                 id="xi-finite"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+    def test_rejects(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_full_adele_component_at_infinity_is_the_real_part(self):
+        assert full({}, DefaultSpec.rational(1), F(3, 2)).component(INFINITY) == F(3, 2)

@@ -1,5 +1,5 @@
 """Every name a library module imports is used in that module, and every
-private module-level name is referenced somewhere in the library.
+private module-level name or method is referenced somewhere in the library.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` is exempt from the import
@@ -36,8 +36,10 @@ def test_no_unused_imports(path):
 
 
 def _private_definitions(tree):
-    """(name, node) for each module-level name with one leading underscore."""
-    for node in tree.body:
+    """(name, node) for each module-level name, and each method defined in a
+    class body, with one leading underscore."""
+    methods = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    for node in tree.body + methods:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -60,8 +62,8 @@ def _references(node):
 
 
 def _unreferenced(trees):
-    """Private module-level names that no module reads outside their own
-    definition, as ``module.name``."""
+    """Private module-level names and methods that no module reads outside
+    their own definition, as ``module.name``."""
     reads = Counter(name for tree in trees.values() for name in _references(tree))
     return sorted(
         f"{module}.{name}"
@@ -80,6 +82,10 @@ def test_a_helper_with_no_caller_is_reported():
     source = (
         "def _used(n):\n    return _used(n - 1) if n else 0\n\n"
         "def _orphan(n):\n    return _orphan(n - 1) if n else 0\n\n"
-        "_TABLE = {}\n_KEPT = 1\nVALUE = _used(_KEPT)\n"
+        "_TABLE = {}\n_KEPT = 1\nVALUE = _used(_KEPT)\n\n"
+        "class C:\n    def _called(self):\n        return self._alone\n\n"
+        "    def _alone(self):\n        return 0\n\n"
+        "    def _side_door(self):\n        return self._side_door\n\n"
+        "    def __repr__(self):\n        return ''\n\nC()._called()\n"
     )
-    assert _unreferenced({"m": ast.parse(source)}) == ["m._TABLE", "m._orphan"]
+    assert _unreferenced({"m": ast.parse(source)}) == ["m._TABLE", "m._orphan", "m._side_door"]

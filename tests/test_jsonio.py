@@ -217,3 +217,37 @@ def test_wrong_container_type_is_invalid_input_on_the_cli(capsys):
     assert json.loads(capsys.readouterr().out) == {
         "error": {"code": "invalid_input", "detail": "explicit must be a JSON object, got list"}
     }
+
+
+RATIONAL_ONE = {"kind": "rational", "q": "1"}
+INPUT_CHECKS = [
+    pytest.param(lambda: jsonio.parse_default({"kind": "zero", "q": "1"}), "zero default carries no rational",
+                 id="zero-default-with-q"),
+    pytest.param(lambda: jsonio.parse_default({"kind": "bogus"}), "unknown default kind 'bogus'", id="default-kind"),
+    pytest.param(lambda: jsonio.parse_unit_idele({"explicit": {}, "default": RATIONAL_ONE}),
+                 "a unit idele needs a real part", id="unit-without-real"),
+    pytest.param(lambda: jsonio.parse_neighbourhood({"balls": {}, "real_interval": ["0"]}),
+                 "real_interval must be a two-element list", id="interval-length"),
+    pytest.param(lambda: jsonio.parse_neighbourhood({"balls": {}, "real_interval": "0"}),
+                 "real_interval must be a two-element list", id="interval-not-list"),
+    pytest.param(lambda: jsonio.parse_parameter_point({"kind": "bogus"}), "unknown parameter point kind 'bogus'",
+                 id="point-kind"),
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{}]}), "each atom needs a kind", id="atom-kind"),
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "unit_family", "prefix": [], "inf_abs_zero": 1}]}),
+                 "inf_abs_zero must be a boolean", id="inf-abs-zero"),
+    pytest.param(lambda: jsonio.parse_prime_set_list({}), "expected a JSON list of prime sets", id="points-list"),
+    pytest.param(lambda: jsonio.parse_adele([]), "expected a JSON object, got list", id="non-object"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_zero_default_round_trip(self):
+        doc = {"kind": "zero"}
+        assert jsonio.parse_default(doc) == DefaultSpec.zero()
+        assert jsonio.dump_default(jsonio.parse_default(doc)) == doc

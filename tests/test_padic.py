@@ -386,6 +386,19 @@ class TestFactoringStops:
             assert prime_factors(-P) == {P: 1}
             assert prime_factors(2**5 * 3 * P) == {2: 5, 3: 1, P: 1}
 
+    def test_prime_cofactor_past_2_64_is_rejected_at_once(self, deadline):
+        # below padic._MILLER_RABIN_EXACT the test is exact, so the prime
+        # cofactor meets Prime's "too large" check, not trial division
+        with deadline(1):
+            with pytest.raises(ValueError, match="too large"):
+                prime_factors(2**64 + 13)
+
+    def test_miller_rabin_is_exact_up_to_its_bound(self):
+        # the bound is the least strong pseudoprime to all twelve bases
+        bound = padic._MILLER_RABIN_EXACT
+        assert is_prime(bound) and bound == 399165290221 * 798330580441
+        assert is_prime(2**64 + 13) and not is_prime((2**64 + 13) * 3)
+
     def test_high_multiplicity_is_split_off_fast(self, deadline):
         with deadline(1):
             assert prime_factors(2**100000 * 3) == {2: 100000, 3: 1}

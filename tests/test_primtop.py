@@ -467,3 +467,27 @@ def test_closed_input_is_validated_like_atoms(closure, atoms, error):
         closure(SetDescriptor(tuple(atoms)))
     with pytest.raises(error):
         closure(_closed_form(atoms))
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: Character("bogus"), ValueError, "unknown character group 'bogus'", id="character-group"),
+    pytest.param(lambda: character_eval(Character(Q_PLUS), 0), ValueError,
+                 "characters are evaluated at nonzero rationals", id="eval-at-zero"),
+    pytest.param(lambda: UnitFamily((embed_rational(2, "full"),)), ValueError,
+                 "the prefix must consist of unit ideles", id="family-non-unit"),
+    pytest.param(lambda: prim_equal((fin(), Character(Q_FULL)), (fin(), Character(Q_PLUS))), MalformedDescriptor,
+                 "characters here live on the positive rationals", id="prim-equal-q-full"),
+    pytest.param(lambda: prim_equal((ext(2), Character(Q_PLUS)), (fin(2), Character(Q_PLUS))), MalformedDescriptor,
+                 "prime sets here live over the finite primes", id="prim-equal-extended"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+    def test_rejects(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_angle_at_a_listed_prime(self):
+        assert Character(Q_PLUS, {3: F(1, 4)}).angle_at(3) == F(1, 4)

@@ -894,3 +894,31 @@ class TestNumeratorPrimesLeftToTheRule:
         # the denominator's primes outside the explicit map become explicit
         c = scale(F(5, 12), finite({2: F(1)}, DefaultSpec.times_p(1)))
         assert c.explicit == {2: F(5, 12), 3: F(5, 4)}
+
+
+S = PrimeSet.finite([2])
+INPUT_CHECKS = [
+    pytest.param(lambda: chi(embed_rational(1)), ValueError, "chi is defined on full adeles", id="chi-finite"),
+    pytest.param(lambda: is_zero_divisor(embed_rational(1, "full")), ValueError,
+                 "zero divisors live among the finite adeles", id="zero-divisor-full"),
+    pytest.param(lambda: ParameterPoint("prime_set"), ValueError, "prime-set point carries exactly a PrimeSet",
+                 id="prime-set-without-set"),
+    pytest.param(lambda: ParameterPoint("prime_set", S, ONES), ValueError,
+                 "prime-set point carries exactly a PrimeSet", id="prime-set-with-unit"),
+    pytest.param(lambda: ParameterPoint("unit_class"), ValueError, "unit-class point carries exactly a UnitIdele",
+                 id="unit-without-unit"),
+    pytest.param(lambda: ParameterPoint("unit_class", S, ONES), ValueError,
+                 "unit-class point carries exactly a UnitIdele", id="unit-with-set"),
+    pytest.param(lambda: ParameterPoint("unit_class", unit=embed_rational(1, "full")), ValueError,
+                 "unit-class point carries exactly a UnitIdele", id="unit-not-unit-idele"),
+    pytest.param(lambda: ParameterPoint("bogus"), ValueError, "unknown parameter point kind 'bogus'",
+                 id="point-kind"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+    def test_rejects(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message

@@ -233,7 +233,8 @@ class FullAdele:
 
 
 class UnitIdele(FullAdele):
-    """A full adele in the canonical unit set: every finite component is a
+    """A full adele whose split r * u (see factor_idele) has r = 1: it is
+    invertible and its idele rational is 1, so every finite component is a
     unit, the default rule is RATIONAL and the real coordinate is positive.
 
     These are the canonical orbit representatives of invertible adeles.
@@ -241,17 +242,10 @@ class UnitIdele(FullAdele):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.default.kind != RATIONAL:
-            raise ValueError("unit idele default must be rational")
-        if self.real_part <= 0:
-            raise ValueError("unit idele real part must be positive")
-        for p, v in self.explicit.items():
-            if valuation(v, p) != 0:
-                raise ValueError(f"component {v} at p={int(p)} is not a unit")
-        if _strip(self.default.q.numerator, self.explicit) != 1:
-            raise ValueError(
-                f"default rational {self.default.q} is not a unit outside the explicit map"
-            )
+        r = _idele_rational(self) if is_invertible(self) else None
+        if r != 1:
+            why = "it is not invertible" if r is None else f"it is {r} times one"
+            raise ValueError(f"{self!r} is not a unit idele: {why}")
 
 
 Adele = Union[FiniteAdele, FullAdele]
@@ -501,7 +495,7 @@ def is_invertible(a: FullAdele) -> bool:
         raise ValueError("invertibility is a full-adele notion")
     if a.real_part == 0 or a.default.kind != RATIONAL:
         return False
-    return all(v != 0 for v in a.explicit.values())
+    return all(a.explicit.values())  # a Fraction is false exactly when it is 0
 
 
 def absolute_value(a: FullAdele) -> Fraction:
@@ -539,10 +533,9 @@ def xi_partial(a: FullAdele, primes: Iterable) -> Fraction:
 
 def _idele_rational(a: FullAdele) -> Fraction:
     """The rational r of factor_idele's split a = r * u, a invertible."""
-    num, den = (1 if a.real_part > 0 else -1) * _strip(a.default.q.numerator, a.explicit), 1
-    for p, v in a.explicit.items():
-        k = valuation(v, p)
-        num, den = (num * p ** k, den) if k >= 0 else (num, den * p ** -k)
+    num, den = (1 if a.real_part.numerator > 0 else -1) * _strip(a.default.q.numerator, a.explicit), 1
+    for p, v in a.explicit.items():  # in lowest terms p divides v's numerator or denominator, not both
+        num, den = num * p ** _split(v.numerator, p)[0], den * p ** _split(v.denominator, p)[0]
     return Fraction(num, den)
 
 

@@ -127,11 +127,6 @@ def _witness(a) -> Dict:
     return {**_r_doc(r, a.division), "verified": True}
 
 
-def _zero_divisor(a) -> Dict:
-    finite = _adele(a.adele, False, "zero divisors live among the finite adeles")
-    return {"zero_divisor": is_zero_divisor(finite)}
-
-
 def _specializes(a) -> Dict:
     x, y = _load(jsonio.parse_parameter_point, a.x), _load(jsonio.parse_parameter_point, a.y)
     return {"specializes": point_specializes(x, y)}
@@ -188,7 +183,8 @@ COMMANDS = {
     "witness": ("construct r with r*a inside a neighbourhood", ["--adele", "--nbhd", _DIVISION], _witness),
     "exact-witness": ("exact scaling r with r*a == b, if any", ["--a", "--b", _DIVISION],
                       lambda a: _r_doc(exact_orbit_witness(_adele(a.a), _adele(a.b)), a.division)),
-    "zero-divisor": ("is an integral finite adele a zero divisor", ["--adele"], _zero_divisor),
+    "zero-divisor": ("is an integral finite adele a zero divisor", ["--adele"],
+                     lambda a: {"zero_divisor": is_zero_divisor(_adele(a.adele))}),
     "pc-closure": ("power-cofinite closure of a list of prime sets", ["--points"],
                    lambda a: _closure_doc(pc_closure(_load(jsonio.parse_prime_set_list, a.points)))),
     "tau-closure": ("closure in the quotient topology on prime sets and units", ["--descriptor"],

@@ -66,7 +66,7 @@ def parse_rational(text: Any) -> Fraction:
 
 
 def dump_rational(q: Fraction) -> str:
-    return str(Fraction(q))
+    return str(q)
 
 
 def parse_prime(text: Any) -> Prime:
@@ -115,15 +115,9 @@ def _require_list(value: Any, what: str) -> List:
 
 def parse_default(doc: Dict) -> DefaultSpec:
     _require_keys(doc, ["kind"], ["q"])
-    kind = doc["kind"]
-    if kind == ZERO:
-        if "q" in doc:
-            raise ValueError("zero default carries no rational")
-        return DefaultSpec.zero()
-    if kind in (RATIONAL, TIMES_P):
+    if doc["kind"] in (RATIONAL, TIMES_P):
         _require_keys(doc, ["kind", "q"])
-        return DefaultSpec(kind, parse_rational(doc["q"]))
-    raise ValueError(f"unknown default kind {kind!r}")
+    return DefaultSpec(doc["kind"], parse_rational(doc["q"]) if "q" in doc else None)
 
 
 def dump_default(d: DefaultSpec) -> Dict:

@@ -47,6 +47,12 @@ def _fraction(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
+def _rational(x) -> Rational:
+    """x itself when it is an int or a Fraction, which both carry a numerator
+    and a denominator, and x converted to a Fraction otherwise."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact below _MILLER_RABIN_EXACT."""
     if n < 2:
@@ -198,7 +204,7 @@ def valuation(q: Rational, p) -> Valuation:
     -2
     """
     p = p if isinstance(p, Prime) else Prime(p)
-    q = _fraction(q)
+    q = _rational(q)
     if q.numerator % p:  # in lowest terms p divides the numerator or the denominator, not both
         return -_split(q.denominator, p)[0]
     return _split(q.numerator, p)[0] if q.numerator else INFINITE_VALUATION
@@ -284,7 +290,7 @@ class PadicBall:
         _require_int(self.radius_exponent, "radius_exponent")
 
     def contains(self, x: Rational) -> bool:
-        x, c, p = (x if isinstance(x, (int, Fraction)) else Fraction(x)), self.center, self.prime
+        x, c, p = _rational(x), self.center, self.prime
         # x - c = diff / den unreduced, so it lies in the ball exactly when
         # p**k divides diff, k = radius + v_p(den)
         diff, den = x.numerator * c.denominator - c.numerator * x.denominator, x.denominator * c.denominator

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .adele import EXTENDED_PRIMES, FINITE_PRIMES, PrimeSet, UnitIdele
 from .errors import ImproperPoint, MalformedDescriptor, NegativeForQPlus
-from .padic import Prime, Rational, valuation
+from .padic import Prime, Rational, _fraction, valuation
 from .quasiorbit import PRIME_SET, ParameterPoint
 
 # character groups
@@ -58,7 +58,7 @@ class Character:
     def __post_init__(self):
         if self.group not in (Q_PLUS, Q_FULL):
             raise ValueError(f"unknown character group {self.group!r}")
-        sign = Fraction(self.sign_angle) % 1
+        sign = _fraction(self.sign_angle) % 1
         if self.group == Q_PLUS:
             if sign != 0:
                 raise ValueError("characters of the positive rationals have no sign angle")
@@ -66,7 +66,7 @@ class Character:
             raise ValueError("the sign angle must be 0 or 1/2")
         angles = {}
         for p, angle in dict(self.prime_angles or {}).items():
-            angle = Fraction(angle) % 1
+            angle = _fraction(angle) % 1
             if angle != 0:
                 angles[Prime(p)] = angle
         object.__setattr__(self, "sign_angle", sign)
@@ -94,7 +94,7 @@ class Character:
 
 def character_eval(c: Character, r: Rational) -> Fraction:
     """Evaluate a character at a nonzero rational, as an angle in [0, 1)."""
-    r = Fraction(r)
+    r = _fraction(r)
     if r == 0:
         raise ValueError("characters are evaluated at nonzero rationals")
     if r < 0 and c.group == Q_PLUS:

@@ -10,6 +10,8 @@ from adelic.adele import (
     EXTENDED_PRIMES,
     FINITE_PRIMES,
     RATIONAL,
+    TIMES_P,
+    ZERO,
     DefaultSpec,
     FiniteAdele,
     FullAdele,
@@ -26,7 +28,7 @@ from adelic.adele import (
     zero_set,
 )
 from adelic.errors import InfinityOnFiniteAdele, NotInvertible, ZeroComponent
-from adelic.padic import INFINITE_VALUATION, INFINITY, PadicBall, Prime
+from adelic.padic import INFINITE_VALUATION, INFINITY, PadicBall, Prime, valuation
 
 F = Fraction
 
@@ -97,6 +99,57 @@ class TestConstruction:
         lo, hi = Neighbourhood({}, (x, y)).real_interval
         assert lo is x and hi is y
         assert embed_rational(x, "full").real_part is x
+
+
+def four_old_checks(fin, real):
+    """The four checks a unit idele once had to pass, before its rule became
+    the split r * u with r = 1: a RATIONAL default, a positive real part, a
+    unit at every explicit prime, and a default numerator that is 1 up to
+    sign once the explicit primes are divided out."""
+    if fin.default.kind != RATIONAL or real <= 0:
+        return False
+    if any(valuation(v, p) != 0 for p, v in fin.explicit.items()):
+        return False
+    n = abs(fin.default.q.numerator)
+    for p in fin.explicit:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@st.composite
+def unit_candidates(draw):
+    """(finite part, real part) pairs near the unit ideles: all three default
+    kinds, explicit zeros, components p**k times a unit, real parts of every
+    sign, and default numerators of either sign with primes inside and
+    outside the explicit map (only explicit primes in the denominator)."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), unique=True, max_size=3))
+    explicit = {}
+    for p in primes:
+        k = draw(st.sampled_from([0, 0, 0, 1, -1, 2, None]))  # None: an explicit zero
+        unit = draw(st.sampled_from([F(1), F(-1), F(11, 13), F(-13, 11)]))
+        explicit[p] = F(0) if k is None else unit * F(p) ** k
+    kind = draw(st.sampled_from([RATIONAL, RATIONAL, TIMES_P, ZERO]))
+    default = DefaultSpec.zero()
+    if kind != ZERO:
+        num = draw(st.sampled_from([1, 1, -1, 2, 14, -35, 11, -65]))
+        den = math.prod(p ** draw(st.integers(0, 1)) for p in primes)
+        default = DefaultSpec(kind, F(num, den))
+    real = draw(st.sampled_from([F(1), F(1), F(3, 2), F(-1), F(0), F(-2, 5)]))
+    return FiniteAdele(explicit, default), real
+
+
+class TestUnitRule:
+    @settings(max_examples=200)
+    @given(unit_candidates())
+    def test_accepts_exactly_what_the_four_old_checks_accepted(self, case):
+        fin, real = case
+        try:
+            UnitIdele(fin, real)
+        except ValueError:
+            assert not four_old_checks(fin, real)
+        else:
+            assert four_old_checks(fin, real)
 
 
 class TestEmbed:
@@ -545,6 +598,22 @@ INPUT_CHECKS = [
                  id="invertible-finite"),
     pytest.param(lambda: xi_partial(embed_rational(1), [2]), ValueError, "xi_partial is a full-adele operation",
                  id="xi-finite"),
+    # what each of the four old unit checks caught, told by the one rule
+    pytest.param(lambda: UnitIdele(FiniteAdele({}, DefaultSpec.times_p(1)), 1), ValueError,
+                 "UnitIdele(FiniteAdele({}, default=times_p(1)), real=1) is not a unit idele: it is not invertible",
+                 id="unit-times-p"),
+    pytest.param(lambda: UnitIdele(FiniteAdele({}, DefaultSpec.rational(1)), -1), ValueError,
+                 "UnitIdele(FiniteAdele({}, default=rational(1)), real=-1) is not a unit idele: it is -1 times one",
+                 id="unit-real-negative"),
+    pytest.param(lambda: UnitIdele(FiniteAdele({}, DefaultSpec.rational(1)), 0), ValueError,
+                 "UnitIdele(FiniteAdele({}, default=rational(1)), real=0) is not a unit idele: it is not invertible",
+                 id="unit-real-zero"),
+    pytest.param(lambda: UnitIdele(FiniteAdele({2: 2}, DefaultSpec.rational(1)), 1), ValueError,
+                 "UnitIdele(FiniteAdele({2: 2}, default=rational(1)), real=1) is not a unit idele: it is 2 times one",
+                 id="unit-component"),
+    pytest.param(lambda: UnitIdele(FiniteAdele({}, DefaultSpec.rational(2)), 1), ValueError,
+                 "UnitIdele(FiniteAdele({}, default=rational(2)), real=1) is not a unit idele: it is 2 times one",
+                 id="unit-default-numerator"),
 ]
 
 

@@ -264,6 +264,12 @@ class TestErrorHandling:
         code, doc = invoke(capsys, "factor", "--adele", adele)
         assert code == 2 and doc["error"]["code"] == "not_invertible"
 
+    def test_zero_divisor_of_a_full_adele_is_invalid_input(self, capsys):
+        full = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}, "real": "1"})
+        assert run_cli("zero-divisor", "--adele", full, capsys=capsys) == (
+            1, '{"error":{"code":"invalid_input","detail":"zero divisors live among the finite adeles"}}\n'
+        )
+
     def test_zero_bounds_are_invalid_input(self, capsys):
         for argv in (["oracle-witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--height-bound", "0"],
                      ["expand", "--q", "1", "--p", "2", "--k", "0"]):
@@ -281,6 +287,9 @@ class TestErrorHandling:
         (["pc-closure", "--points", '[{"base":["finite"],"kind":"finite","members":[]}]'], "unknown base ['finite']"),
         (["tau-closure", "--descriptor", '{"atoms":[{"kind":"singleton_family","excluded":[],"base":["finite"]}]}'],
          "unknown base ['finite']"),
+        (["specializes", "--x", '{"kind":"unit_class","unit":{"explicit":{"2":"2"},"default":{"kind":"rational","q":"1"},'
+          '"real":"1"}}', "--y", '{"kind":"prime_set","set":{"base":"extended","kind":"finite","members":[]}}'],
+         "UnitIdele(FiniteAdele({2: 2}, default=rational(1)), real=1) is not a unit idele: it is 2 times one"),
     ]
 
     def test_malformed_documents_name_the_field(self, capsys):

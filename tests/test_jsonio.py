@@ -224,6 +224,11 @@ INPUT_CHECKS = [
     pytest.param(lambda: jsonio.parse_default({"kind": "zero", "q": "1"}), "zero default carries no rational",
                  id="zero-default-with-q"),
     pytest.param(lambda: jsonio.parse_default({"kind": "bogus"}), "unknown default kind 'bogus'", id="default-kind"),
+    # q is read before the kind is judged, so a bad q is reported first
+    pytest.param(lambda: jsonio.parse_default({"kind": "zero", "q": None}), "not a canonical rational: None",
+                 id="zero-default-with-null-q"),
+    pytest.param(lambda: jsonio.parse_default({"kind": "bogus", "q": "x"}), "not a canonical rational: 'x'",
+                 id="default-kind-and-q"),
     pytest.param(lambda: jsonio.parse_unit_idele({"explicit": {}, "default": RATIONAL_ONE}),
                  "a unit idele needs a real part", id="unit-without-real"),
     pytest.param(lambda: jsonio.parse_neighbourhood({"balls": {}, "real_interval": ["0"]}),

@@ -68,6 +68,9 @@ class TestExtendedPrimes:
         assert is_infinite_place(INFINITY)
         assert not is_infinite_place(Prime(2))
 
+    def test_repr(self):
+        assert repr(INFINITY) == "INFINITY"
+
     def test_sort_key_puts_infinity_last(self):
         places = sorted([INFINITY, Prime(3), Prime(2)], key=extended_prime_key)
         assert places == [Prime(2), Prime(3), INFINITY]
@@ -313,6 +316,21 @@ class TestIntegerKernel:
             with pytest.raises(ValueError):
                 valuation(q, 4)
 
+    def test_an_int_is_read_without_building_a_fraction(self, monkeypatch):
+        built = []
+
+        class Recorded(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        ball = PadicBall(3, Fraction(2), 1)
+        monkeypatch.setattr(padic, "Fraction", Recorded)
+        assert valuation(10465, 5) == 1 and valuation(-48, 2) == 4 and valuation(0, 3) == INFINITE_VALUATION
+        assert ball.contains(5) and not ball.contains(1)
+        assert built == []
+        assert valuation("2/9", 3) == -2 and built == [("2/9",)]
+
 
 @pytest.fixture
 def fresh_prime_list():
@@ -416,3 +434,18 @@ class TestFactoringStops:
             out[m] = out.get(m, 0) + 1
         factors = prime_factors(n)
         assert factors == out and all(type(p) is Prime for p in factors)
+
+
+INPUT_CHECKS = [
+    pytest.param(lambda: Prime(2.5), "prime must be an integer, got 2.5", id="prime-not-integer"),
+    pytest.param(lambda: prime_factors(0), "cannot factor zero", id="factor-zero"),
+    pytest.param(lambda: TruncatedPadic(2, 0, 1, 0), "precision must be >= 1", id="truncated-precision"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", INPUT_CHECKS)
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message

@@ -479,6 +479,8 @@ INPUT_CHECKS = [
                  "characters here live on the positive rationals", id="prim-equal-q-full"),
     pytest.param(lambda: prim_equal((ext(2), Character(Q_PLUS)), (fin(2), Character(Q_PLUS))), MalformedDescriptor,
                  "prime sets here live over the finite primes", id="prim-equal-extended"),
+    pytest.param(lambda: point_specializes(ext(2), ParameterPoint.of_prime_set(ext(2))), ValueError,
+                 "expected a quasi-orbit parameter point", id="specializes-non-point"),
 ]
 
 
@@ -488,6 +490,10 @@ class TestInputChecks:
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+    def test_repr(self):
+        assert repr(Character(Q_PLUS, {3: F(1, 4), 2: F(5, 4)})) == "Character(q_plus, {2: 1/4, 3: 1/4})"
+        assert repr(Character(Q_FULL, {5: F(2, 3)}, F(1, 2))) == "Character(q_full, {5: 2/3}, sign=1/2)"
 
     def test_angle_at_a_listed_prime(self):
         assert Character(Q_PLUS, {3: F(1, 4)}).angle_at(3) == F(1, 4)

@@ -547,7 +547,9 @@ def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     explicit primes divided out, and the explicit prime powers.  The
     factorization is unique.
     """
-    if not isinstance(a, FullAdele) or not is_invertible(a):
+    if not isinstance(a, FullAdele):
+        raise ValueError("idele factorization needs a full adele")
+    if not is_invertible(a):
         raise NotInvertible("only invertible full adeles factor through the units")
     r = _idele_rational(a)
     return r, UnitIdele(scale(1 / r, a.finite_part), a.real_part / r)

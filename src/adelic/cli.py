@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any, Dict, Optional
 
 from . import jsonio
-from .adele import FullAdele, absolute_value, factor_idele, zero_set
+from .adele import absolute_value, factor_idele, zero_set
 from .errors import AdelicError
 from .oracle import SearchBudget, window_closure, witness_by_search
 from .padic import INFINITE_VALUATION, expand, valuation
@@ -78,12 +78,9 @@ def _load(parse, text: str):
     return parse(json.loads(text, object_pairs_hook=_unique_keys))
 
 
-def _adele(text: str, full: Optional[bool] = None, message: str = ""):
-    """Parse a JSON adele; ``full`` demands a full (True) or finite (False) one."""
-    a = _load(jsonio.parse_adele, text)
-    if full is not None and isinstance(a, FullAdele) != full:
-        raise ValueError(message)
-    return a
+def _adele(text: str):
+    """Parse a JSON adele; the library checks its kind."""
+    return _load(jsonio.parse_adele, text)
 
 
 def _r_doc(r: Optional[Fraction], division: bool) -> Dict:
@@ -112,12 +109,11 @@ def _expand(a) -> Dict:
 
 
 def _abs(a) -> Dict:
-    full = _adele(a.adele, True, "the absolute value needs a full adele (a 'real' field)")
-    return {"abs": jsonio.dump_rational(absolute_value(full))}
+    return {"abs": jsonio.dump_rational(absolute_value(_adele(a.adele)))}
 
 
 def _factor(a) -> Dict:
-    r, u = factor_idele(_adele(a.adele, True, "idele factorization needs a full adele"))
+    r, u = factor_idele(_adele(a.adele))
     return {"r": jsonio.dump_rational(r), "unit": jsonio.dump_adele(u)}
 
 
@@ -179,7 +175,7 @@ COMMANDS = {
     "quasi-orbit": ("do a and b share their orbit closure", ["--a", "--b"],
                     lambda a: {"same": same_quasi_orbit(_adele(a.a), _adele(a.b))}),
     "chi": ("quasi-orbit parameter point of a full adele", ["--adele"],
-            lambda a: jsonio.dump_parameter_point(chi(_adele(a.adele, True, "chi needs a full adele")))),
+            lambda a: jsonio.dump_parameter_point(chi(_adele(a.adele)))),
     "witness": ("construct r with r*a inside a neighbourhood", ["--adele", "--nbhd", _DIVISION], _witness),
     "exact-witness": ("exact scaling r with r*a == b, if any", ["--a", "--b", _DIVISION],
                       lambda a: _r_doc(exact_orbit_witness(_adele(a.a), _adele(a.b)), a.division)),

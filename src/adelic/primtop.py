@@ -62,7 +62,7 @@ class Character:
         if self.group == Q_PLUS:
             if sign != 0:
                 raise ValueError("characters of the positive rationals have no sign angle")
-        elif sign not in (Fraction(0), Fraction(1, 2)):
+        elif sign.denominator > 2:  # in [0, 1), so only 0 and 1/2 pass
             raise ValueError("the sign angle must be 0 or 1/2")
         angles = {}
         for p, angle in dict(self.prime_angles or {}).items():

@@ -116,7 +116,7 @@ def chi(a: FullAdele) -> ParameterPoint:
     noninvertible ones to their extended zero set.
     """
     if not isinstance(a, FullAdele):
-        raise ValueError("chi is defined on full adeles")
+        raise ValueError("chi needs a full adele")
     if is_invertible(a):
         return ParameterPoint.of_unit(factor_idele(a)[1])
     return ParameterPoint.of_prime_set(zero_set(a))
@@ -127,42 +127,28 @@ def exact_orbit_witness(a: Adele, b: Adele) -> Optional[Fraction]:
 
     Unique for a != 0.  For finite adeles only positive witnesses count
     (the acting group is the positive rationals); full adeles admit both
-    signs.  The candidate is checked place by place without building r*a,
-    so nothing is factored: the real parts, the default rules, and the
-    components at the primes explicit in a or b.
+    signs.  Scaling keeps the default kind and maps q to r * q, so a
+    nonzero default forces r = q_b / q_a.  Under a ZERO default r is read
+    from the real part or from the first prime where a does not vanish,
+    which is explicit in a.  The one candidate is then checked at the
+    real place and at the primes explicit in a or b, without building
+    r * a, so nothing is factored; the default rule holds by the choice
+    of r.
     """
     full = _require_same_kind(a, b)
-    candidate = None
-    if full and a.real_part != 0:
-        candidate = b.real_part / a.real_part
+    if a.default.kind != b.default.kind:
+        return None
+    if a.default.kind != ZERO:
+        r = b.default.q / a.default.q
+    elif full and a.real_part != 0:
+        r = b.real_part / a.real_part
     else:
-        for p in sorted(a.explicit.keys() | b.explicit.keys()):
-            va = a.component(p)
-            if va != 0:
-                candidate = b.component(p) / va
-                break
-        else:
-            if a.default.kind == ZERO:
-                # a vanishes identically; only b == a keeps it in the orbit
-                return Fraction(1) if a == b else None
-            if b.default.kind == a.default.kind:
-                candidate = b.default.q / a.default.q
-    if candidate is None or candidate == 0:
+        r = next((b.component(p) / v for p, v in a.explicit.items() if v != 0), None)
+        if r is None:  # a vanishes identically; only b == a keeps it in the orbit
+            return Fraction(1) if a == b else None
+    if r == 0 or (not full and r < 0) or (full and r * a.real_part != b.real_part):
         return None
-    if not full and candidate <= 0:
-        return None
-    return candidate if _scales_to(candidate, a, b) else None
-
-
-def _scales_to(r: Fraction, a: Adele, b: Adele) -> bool:
-    """Whether scale(r, a) == b.  Off the explicit primes of a and b both
-    components follow the default rules, which agree after scaling exactly
-    when their kinds match and r * q_a == q_b."""
-    if isinstance(a, FullAdele) and r * a.real_part != b.real_part:
-        return False
-    if a.default.kind != b.default.kind or (a.default.kind != ZERO and r * a.default.q != b.default.q):
-        return False
-    return all(r * a.component(p) == b.component(p) for p in a.explicit.keys() | b.explicit.keys())
+    return r if all(r * a.component(p) == b.component(p) for p in a.explicit.keys() | b.explicit.keys()) else None
 
 
 def is_zero_divisor(a: FiniteAdele) -> bool:

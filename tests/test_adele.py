@@ -598,6 +598,8 @@ INPUT_CHECKS = [
                  id="invertible-finite"),
     pytest.param(lambda: xi_partial(embed_rational(1), [2]), ValueError, "xi_partial is a full-adele operation",
                  id="xi-finite"),
+    pytest.param(lambda: factor_idele(embed_rational(1)), ValueError, "idele factorization needs a full adele",
+                 id="factor-finite"),
     # what each of the four old unit checks caught, told by the one rule
     pytest.param(lambda: UnitIdele(FiniteAdele({}, DefaultSpec.times_p(1)), 1), ValueError,
                  "UnitIdele(FiniteAdele({}, default=times_p(1)), real=1) is not a unit idele: it is not invertible",

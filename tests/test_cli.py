@@ -264,6 +264,18 @@ class TestErrorHandling:
         code, doc = invoke(capsys, "factor", "--adele", adele)
         assert code == 2 and doc["error"]["code"] == "not_invertible"
 
+    @pytest.mark.parametrize("command, detail", [
+        ("abs", "invertibility is a full-adele notion"),
+        ("factor", "idele factorization needs a full adele"),
+        ("chi", "chi needs a full adele"),
+    ])
+    def test_full_adele_command_on_a_finite_adele_is_invalid_input(self, capsys, command, detail):
+        # the library checks the kind; the CLI only parses
+        finite = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}})
+        assert run_cli(command, "--adele", finite, capsys=capsys) == (
+            1, '{"error":{"code":"invalid_input","detail":"%s"}}\n' % detail
+        )
+
     def test_zero_divisor_of_a_full_adele_is_invalid_input(self, capsys):
         full = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}, "real": "1"})
         assert run_cli("zero-divisor", "--adele", full, capsys=capsys) == (

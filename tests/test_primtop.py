@@ -72,6 +72,10 @@ class TestCharacter:
             Character(Q_PLUS, {}, sign_angle=F(1, 2))
         with pytest.raises(ValueError):
             Character(Q_FULL, {}, sign_angle=F(1, 3))
+        # the angle is taken mod 1 before the test
+        assert Character(Q_FULL, {}, sign_angle=F(3, 2)).sign_angle == F(1, 2)
+        with pytest.raises(ValueError, match="the sign angle must be 0 or 1/2"):
+            Character(Q_FULL, {}, sign_angle=F(1, 4))
 
     def test_eval_examples(self):
         c = Character(Q_PLUS, {2: F(1, 2)})

@@ -186,11 +186,11 @@ class TestExactWitness:
         ],
     )
     def test_ratio_of_the_default_rules(self, qa, qb, r):
-        # nothing explicit, so the candidate is read off the default rules
+        # a nonzero default forces r = q_b / q_a
         assert exact_orbit_witness(finite({}, qa), finite({}, qb)) == r
 
     def test_mismatched_real_parts(self):
-        # with a zero real part the candidate 1 comes from the prime 2
+        # the default rule forces r = 1, which the real parts refute
         a = full({2: F(3)}, DefaultSpec.rational(1), F(0))
         assert exact_orbit_witness(a, full({2: F(3)}, DefaultSpec.rational(1), F(1))) is None
 
@@ -198,6 +198,106 @@ class TestExactWitness:
     def test_uniqueness_roundtrip(self, r):
         a = full({2: F(0), 5: F(5)}, DefaultSpec.rational(5), F(2))
         assert exact_orbit_witness(a, scale(r, a)) == r
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_candidate_walk(self, data):
+        a, b = data.draw(orbit_pairs())
+        r = _outcome(exact_orbit_witness, a, b)
+        assert r == _outcome(_candidate_walk, a, b)
+        if isinstance(r, Fraction):
+            assert scale(r, a) == b
+
+
+WITNESS_PRIMES = (2, 3, 5, 7)
+small_value = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=6)
+
+
+@st.composite
+def small_adeles(draw, is_full):
+    """Explicit entries (zeros among them) at a few small primes, a default
+    of any kind whose denominator the explicit primes cover, and a real
+    part that may vanish."""
+    explicit = draw(st.dictionaries(st.sampled_from(WITNESS_PRIMES), small_value, max_size=3))
+    kind = draw(st.sampled_from([adele.ZERO, adele.RATIONAL, adele.TIMES_P]))
+    if kind == adele.ZERO:
+        default = DefaultSpec.zero()
+    else:
+        denominator = math.prod(draw(st.sets(st.sampled_from(sorted(explicit))))) if explicit else 1
+        numerator = draw(st.integers(-6, 6).filter(bool))
+        default = DefaultSpec(kind, F(numerator, denominator))
+    fin = FiniteAdele(explicit, default)
+    return FullAdele(fin, draw(small_value)) if is_full else fin
+
+
+@st.composite
+def orbit_pairs(draw):
+    """(a, b): b is a scaled copy of a (r of either sign), a scaled copy
+    changed at one place, a itself, an unrelated adele, or one of the
+    other kind."""
+    is_full = draw(st.booleans())
+    a = draw(small_adeles(is_full))
+    how = draw(st.sampled_from(["scaled", "perturbed", "same", "unrelated", "other kind"]))
+    if how == "same":
+        return a, a
+    if how == "unrelated":
+        return a, draw(small_adeles(is_full))
+    if how == "other kind":
+        return a, draw(small_adeles(not is_full))
+    b = scale(draw(small_nonzero), a)
+    if how == "scaled":
+        return a, b
+    place = draw(st.sampled_from(WITNESS_PRIMES + ("default", "real")))
+    default, real = b.default, getattr(b, "real_part", None)
+    explicit = dict(b.explicit)
+    if place == "default":
+        q = b.default.q or F(1)
+        default = {adele.ZERO: DefaultSpec.rational(1), adele.RATIONAL: DefaultSpec.rational(2 * q),
+                   adele.TIMES_P: DefaultSpec.rational(q)}[b.default.kind]
+    elif place == "real" and is_full:
+        real += 1
+    else:
+        p = place if place != "real" else 2
+        explicit[p] = b.component(p) + 1
+    fin = FiniteAdele(explicit, default)
+    return a, FullAdele(fin, real) if is_full else fin
+
+
+def _outcome(witness, a, b):
+    try:
+        return witness(a, b)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def _candidate_walk(a, b):
+    """The earlier exact_orbit_witness: the first candidate from the real
+    part, the sorted explicit primes of a and b, or the default rules, then
+    a check of the real parts, the default rules and every explicit prime."""
+    full = isinstance(a, FullAdele)
+    if full != isinstance(b, FullAdele):
+        raise ValueError("adeles must both be finite or both be full")
+    candidate = None
+    if full and a.real_part != 0:
+        candidate = b.real_part / a.real_part
+    else:
+        for p in sorted(a.explicit.keys() | b.explicit.keys()):
+            if a.component(p) != 0:
+                candidate = b.component(p) / a.component(p)
+                break
+        else:
+            if a.default.kind == adele.ZERO:
+                return Fraction(1) if a == b else None
+            if b.default.kind == a.default.kind:
+                candidate = b.default.q / a.default.q
+    if candidate is None or candidate == 0 or (not full and candidate <= 0):
+        return None
+    r = candidate
+    if full and r * a.real_part != b.real_part:
+        return None
+    if a.default.kind != b.default.kind or (a.default.kind != adele.ZERO and r * a.default.q != b.default.q):
+        return None
+    return r if all(r * a.component(p) == b.component(p) for p in a.explicit.keys() | b.explicit.keys()) else None
 
 
 class TestZeroDivisor:
@@ -898,7 +998,7 @@ class TestNumeratorPrimesLeftToTheRule:
 
 S = PrimeSet.finite([2])
 INPUT_CHECKS = [
-    pytest.param(lambda: chi(embed_rational(1)), ValueError, "chi is defined on full adeles", id="chi-finite"),
+    pytest.param(lambda: chi(embed_rational(1)), ValueError, "chi needs a full adele", id="chi-finite"),
     pytest.param(lambda: is_zero_divisor(embed_rational(1, "full")), ValueError,
                  "zero divisors live among the finite adeles", id="zero-divisor-full"),
     pytest.param(lambda: ParameterPoint("prime_set"), ValueError, "prime-set point carries exactly a PrimeSet",

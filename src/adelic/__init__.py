@@ -42,6 +42,7 @@ from .errors import (
     NonCoprimeModuli,
     NotIntegral,
     NotInvertible,
+    WorkBoundExceeded,
     ZeroComponent,
 )
 from .oracle import SearchBudget, window_closure, witness_by_search

@@ -377,22 +377,30 @@ class Neighbourhood:
 
 def _scaled_in(nbhd: Neighbourhood, r: Rational, a: Adele, primes: Iterable = ()) -> bool:
     """Whether r * a lies in nbhd, by the rule of Neighbourhood.contains,
-    decided without building r * a.  Leaving out a prime of rest can turn
-    a True into a False, never the other way."""
+    decided on numerators and denominators without building r * a.
+    Leaving out a prime of rest can turn a True into a False, never the
+    other way."""
     full = _check_kind(a, nbhd)
     explicit, default, balls = a.explicit, a.default, nbhd.balls
+    r_num, r_den = r.numerator, r.denominator
     places = balls.keys() | explicit.keys()
     for p in places:
         v = explicit.get(p)
-        x = (default.value_at(p) if v is None else v) * r
-        if not (balls[p].contains(x) if p in balls else x.denominator % p):  # Z_p = B(0, 0)
+        v = default.value_at(p) if v is None else v
+        c, radius = (balls[p].center, balls[p].radius_exponent) if p in balls else (0, 0)  # Z_p = B(0, 0)
+        # r * v - c = diff / den unreduced: in the ball exactly when p**(radius + v_p(den)) divides diff;
+        # diff == 0 decides first, so den, which holds all of r's denominator, is split only when needed
+        x_num, x_den = v.numerator * r_num, v.denominator * r_den
+        diff, den = x_num * c.denominator - c.numerator * x_den, x_den * c.denominator
+        if diff and diff % p ** max(0, radius + _split(den, p)[0]):
             return False
     # off the places the default absorbs the rest of r's denominator; value_at gives 0, q or q * prod(primes)
-    if default.value_at(math.prod(set(primes))).numerator % _strip(r.denominator, places):
+    if default.value_at(math.prod(set(primes))).numerator % _strip(r_den, places):
         return False
     if full:
-        lo, hi = nbhd.real_interval
-        return lo < a.real_part * r < hi
+        (lo, hi), x = nbhd.real_interval, a.real_part
+        x_num, x_den = x.numerator * r_num, x.denominator * r_den
+        return lo.numerator * x_den < x_num * lo.denominator and x_num * hi.denominator < hi.numerator * x_den
     return True
 
 

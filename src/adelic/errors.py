@@ -77,3 +77,9 @@ class NegativeForQPlus(AdelicError):
     """A character on the positive rationals was evaluated at a negative."""
 
     code = "negative_for_q_plus"
+
+
+class WorkBoundExceeded(AdelicError):
+    """An input would take more work than the documented bound allows."""
+
+    code = "work_bound_exceeded"

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO
 from .adele import _check_kind, _default_primes
+from .errors import WorkBoundExceeded
 from .padic import Prime, _require_int, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
@@ -171,8 +172,12 @@ def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSe
     points.  This is the definition, evaluated by brute force; it equals
     supersets-within-window and validates the up-set closure formulas.
     The window is a set of places, so a repeated place counts once.
+    The work is 4**n for n places, so a window of more than 10 places
+    raises WorkBoundExceeded before any of it is done.
     """
     window = PrimeSet.finite(window, EXTENDED_PRIMES).members
+    if len(window) > 10:
+        raise WorkBoundExceeded(f"a window of {len(window)} places exceeds the bound of 10")
     pts = list(points)
     for s in pts:
         if s.kind != "finite":

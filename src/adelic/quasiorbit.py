@@ -30,11 +30,7 @@ from .adele import (
 )
 from .adele import _check_kind, _default_primes, _idele_rational, _scaled_in
 from .errors import ClosedOrbitMiss, Infeasible, NotIntegral
-from .padic import (
-    _congruence,
-    crt_solve,
-    valuation,
-)
+from .padic import _congruence, _split, crt_solve, valuation
 
 # isotropy tags
 TRIVIAL = "trivial"
@@ -191,6 +187,9 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     term in the real interval is the smallest such t and gives r = t / r0,
     or there is none and the orbit misses the neighbourhood.
 
+    The plan is carried on integers: components, centres, gamma, u and the
+    real bounds are unreduced pairs, and the one Fraction built is r.
+
     All free choices are pinned so the returned witness is canonical and
     reproducible.  The result is checked exactly before it is returned,
     by the rule of Neighbourhood.contains applied to r * a in place
@@ -204,46 +203,44 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     """
     full = _check_kind(a, nbhd)
     closed = full and is_invertible(a)
-
-    # a vanishing coordinate meets a ball only through 0 (B(0, 0) off the balls holds it)
-    for p, ball in nbhd.balls.items():
-        if a.component(p) == 0 and not ball.contains(0):
-            raise Infeasible(f"component at p={int(p)} vanishes but the ball excludes 0")
+    r0 = _idele_rational(a) if closed else 1
     if full:
         lo, hi = nbhd.real_interval
         real = a.real_part
-        if real == 0 and not lo < 0 < hi:
+        u_num, u_den = real.numerator * r0.denominator, real.denominator * r0.numerator  # u_oo = a_oo / r0
+    if not closed:  # an invertible adele has no vanishing coordinate
+        # a vanishing coordinate meets a ball only through 0 (B(0, 0) off the balls holds it)
+        for p, ball in nbhd.balls.items():
+            if a.component(p) == 0 and not ball.contains(0):
+                raise Infeasible(f"component at p={int(p)} vanishes but the ball excludes 0")
+        if full and real == 0 and not lo < 0 < hi:
             raise Infeasible("real part vanishes but the interval excludes 0")
-    if closed:
-        r0 = _idele_rational(a)
-        real /= r0  # u_oo
 
-    # rewrite each ball constraint as a congruence datum for r (for t when closed)
-    cong_data = []  # (p, exponent, center of the r-ball scaled by D later)
+    # rewrite each ball constraint as a congruence datum for r (for t = r * r0 when closed)
+    cong_data = []  # (p, exponent, centre gamma of the r-ball as an unreduced pair)
     denominator_core = 1
     for p in sorted(nbhd.balls.keys() | a.explicit.keys()):
         a_p = a.component(p)
         if a_p == 0:
             continue  # a feasible ball, satisfied by every r
-        if closed:
-            a_p /= r0  # u_p, a p-adic unit
         ball = nbhd.balls.get(p)
         centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
-        alpha = valuation(a_p, p)
+        alpha = 0 if closed else valuation(a_p, p)  # u_p = a_p / r0 is a p-adic unit
         m = radius - alpha
-        beta = valuation(centre, p) - alpha  # v_p(gamma) for gamma = centre / a_p
+        beta = valuation(centre, p) - alpha  # v_p(gamma) for gamma = centre / u_p
         # a closed orbit takes every denominator the ball allows, a dense one those it forces
         d_p = max(0, -min(beta, m)) if closed or beta < m else 0
         denominator_core *= int(p) ** d_p
         e_p = m + d_p
         if e_p >= 1:
-            cong_data.append((p, e_p, centre / a_p))
+            cong_data.append((p, e_p, centre.numerator * a_p.denominator * r0.numerator,
+                              centre.denominator * a_p.numerator * r0.denominator))
 
     # one CRT per witness: over denominator_core * t the solution is base * t mod modulus
     congruences = []
-    for p, e, gamma in cong_data:
-        g = math.gcd(denominator_core, gamma.denominator)  # gamma * denominator_core in lowest terms
-        congruences.append(_congruence(p, gamma.numerator * (denominator_core // g), gamma.denominator // g, e))
+    for p, e, gamma_num, gamma_den in cong_data:
+        k, gamma_den = _split(gamma_den, p)  # p**k divides gamma_num * core, as beta + d_p >= 0
+        congruences.append(_congruence(p, gamma_num * denominator_core // p**k, gamma_den, e))
     base = crt_solve(congruences)
     modulus = math.prod(m for _, m in congruences)
 
@@ -251,9 +248,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     tail_factor, tail_primes, drawn = 1, None, []
     if full and real != 0 and not closed:
         # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
-        width = hi - lo
-        threshold = abs(real.numerator) * width.denominator * modulus // (
-            real.denominator * width.numerator * denominator_core)
+        threshold = abs(real.numerator) * hi.denominator * lo.denominator * modulus // (
+            real.denominator * (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * denominator_core)
         vanishing = [p for p, v in a.explicit.items() if v == 0]
         if a.default.kind == ZERO:
             vanishing.append(next(_default_primes(a)))
@@ -275,9 +271,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     # A closed orbit's denominator is fixed, so one pass decides it.
     while True:
         denominator = denominator_core * tail_factor
-        bounds = (0, math.inf)
-        if full and real != 0:
-            bounds = (lo * denominator / real, hi * denominator / real)
+        # n * u_oo / denominator lies in (lo, hi): n lies between lo and hi times denominator / u_oo
+        bounds = [(b.numerator * denominator * u_den, b.denominator * u_num) for b in (lo, hi)] if full and real else None
         numerator = _pick_numerator(base * tail_factor % modulus, modulus, bounds)
         if numerator is not None:
             break
@@ -285,23 +280,26 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
             raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
         drawn.append(next(tail_primes))
         tail_factor *= drawn[-1]
-    r = Fraction(numerator, denominator)
-    if closed:
-        r /= r0
+    r = Fraction(numerator * r0.denominator, denominator * r0.numerator)  # t / r0, or n / D when r0 = 1
     if not _scaled_in(nbhd, r, a, drawn):
         raise AssertionError(f"constructed witness {r} failed verification")
     return r
 
 
 def _pick_numerator(base: int, modulus: int, bounds) -> Optional[int]:
-    """The first nonzero n = base (mod modulus) strictly between the bounds
-    (the ends of an open interval, in either order), or None.  Bounds
-    (0, math.inf) give the smallest positive solution.
-    """
-    first, last = sorted(bounds)
-    n = base + ((first - base) // modulus + 1) * modulus  # exact Fraction floor
+    """The first nonzero n = base (mod modulus) strictly between the bounds,
+    or None.  The bounds are two rationals as integer pairs (numerator,
+    denominator) in either order; bounds None give the smallest positive
+    solution.  An integer lies strictly between two rationals exactly when
+    it lies strictly between the floor of the lower and the ceiling of the
+    upper."""
+    first, last = 0, math.inf
+    if bounds:
+        (a, b), (c, d) = bounds
+        first, last = min(a // b, c // d), max(-(-a // b), -(-c // d))
+    n = base + ((first - base) // modulus + 1) * modulus
     while n < last:
         if n != 0:
-            return int(n)
+            return n
         n += modulus
     return None

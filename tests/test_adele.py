@@ -495,6 +495,50 @@ class TestScaledMembership:
         assert not _scaled_in(nbhd, F(1, 13), a)
 
 
+def scaled_in_by_fractions(nbhd, r, a, primes=()):
+    """The membership rule as it read on Fractions: r * a_p built at each
+    place and tested by PadicBall.contains, the real part by comparison."""
+    explicit, default, balls = a.explicit, a.default, nbhd.balls
+    places = balls.keys() | explicit.keys()
+    for p in places:
+        v = explicit.get(p)
+        x = (default.value_at(p) if v is None else v) * r
+        if not (balls[p].contains(x) if p in balls else x.denominator % p):
+            return False
+    rest = r.denominator
+    for p in places:
+        while rest % p == 0:
+            rest //= p
+    if default.value_at(math.prod(set(primes))).numerator % rest:
+        return False
+    if isinstance(a, FullAdele):
+        lo, hi = nbhd.real_interval
+        return lo < a.real_part * r < hi
+    return True
+
+
+# g * r and 1 / (g * r) cancel g against r's denominator or numerator, and entries such
+# as 1/p meet r's factor p, so the pairs the integer rule multiplies are often unreduced
+INTEGER_MEMBERSHIPS = st.tuples(
+    scaled_memberships(),
+    st.sampled_from([1, 2, 3, 10, 13]),
+    st.lists(st.sampled_from(DENOMINATOR_PRIMES), max_size=4),
+)
+
+
+class TestIntegerMembership:
+    """_scaled_in on numerators and denominators against the rule it
+    replaced, which multiplied Fractions at every place."""
+
+    @settings(max_examples=200)
+    @given(INTEGER_MEMBERSHIPS)
+    def test_matches_the_fraction_rule(self, case):
+        (a, nbhd, r), g, primes = case
+        for s in (r, -r, g * r, -1 / (g * r)):
+            assert _scaled_in(nbhd, s, a, primes) == scaled_in_by_fractions(nbhd, s, a, primes)
+        assert _scaled_in(nbhd, 1, a) == scaled_in_by_fractions(nbhd, F(1), a) == nbhd.contains(a)
+
+
 PRIMES = (2, 3, 5, 7)
 
 

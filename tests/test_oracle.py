@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from math import gcd
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adelic import adele, oracle, padic
+from adelic import adele, cli, oracle, padic
 from adelic.adele import (
     EXTENDED_PRIMES,
     DefaultSpec,
@@ -17,7 +18,7 @@ from adelic.adele import (
     embed_rational,
     scale,
 )
-from adelic.errors import ClosedOrbitMiss, Infeasible
+from adelic.errors import ClosedOrbitMiss, Infeasible, WorkBoundExceeded
 from adelic.oracle import (
     SearchBudget,
     _allowed_denominator_primes,
@@ -462,3 +463,35 @@ class TestWindowClosure:
     def test_points_of_two_bases_rejected(self):
         with pytest.raises(ValueError):
             window_closure([PrimeSet.finite({2}), PrimeSet.finite({2}, base=EXTENDED_PRIMES)], {2})
+
+
+class TestWindowBound:
+    """The window oracle does 4**n work for n places, so past 10 places it
+    refuses before doing any, with the code work_bound_exceeded."""
+
+    TWENTY = [p for p in range(2, 72) if is_prime(p)]
+    DETAIL = "a window of 20 places exceeds the bound of 10"
+
+    def test_twenty_places_in_process(self, deadline):
+        assert len(self.TWENTY) == 20
+        with deadline(1), pytest.raises(WorkBoundExceeded) as info:
+            window_closure([PrimeSet.finite({2})], self.TWENTY)
+        assert info.value.code == "work_bound_exceeded" and str(info.value) == self.DETAIL
+
+    def test_twenty_places_through_the_cli(self, deadline, capsys):
+        points = json.dumps([{"base": "finite", "kind": "finite", "members": ["2"]}])
+        window = ",".join(map(str, self.TWENTY))
+        with deadline(1):
+            code = cli.main(["oracle-window", "--points", points, "--window", window])
+        out = capsys.readouterr().out
+        assert code == 2 and out.count("\n") == 1
+        assert json.loads(out) == {"error": {"code": "work_bound_exceeded", "detail": self.DETAIL}}
+
+    def test_the_bound_counts_distinct_places(self, deadline):
+        # ten places, one repeated, pass the bound: the stray point is the
+        # next check, and it answers at once
+        ten = self.TWENTY[:10] + [2]
+        with deadline(1), pytest.raises(ValueError, match="strays outside the window"):
+            window_closure([PrimeSet.finite({self.TWENTY[10]})], ten)
+        with deadline(1), pytest.raises(WorkBoundExceeded):
+            window_closure([PrimeSet.finite({2})], self.TWENTY[:11])

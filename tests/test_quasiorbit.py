@@ -559,6 +559,53 @@ class TestProgression:
             assert nbhd.contains(scale(r, a))
 
 
+def pick_by_fractions(base, modulus, bounds):
+    """The picker as it read on Fraction bounds: the first nonzero n =
+    base (mod modulus) strictly between the bounds, in either order."""
+    first, last = sorted(bounds)
+    n = base + ((first - base) // modulus + 1) * modulus
+    while n < last:
+        if n != 0:
+            return int(n)
+        n += modulus
+    return None
+
+
+# fractions built from two integers draw much faster than st.fractions
+small_signed = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+# the interval often straddles 0 and the base is often 0, so 0 is often a progression term
+PICKS = st.tuples(
+    st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1) | st.just(0))),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 10)),
+    st.sampled_from([F(1, 50), F(1, 3), F(1), F(7, 2), F(40)]),
+    st.integers(1, 60),
+    small_signed,  # the real part a_oo, of either sign
+    small_signed,  # r0, of either sign
+)
+
+
+class TestIntegerPicker:
+    """_pick_numerator on cross-multiplied integer bounds against the
+    Fraction bounds lo * D / u_oo and hi * D / u_oo it replaced."""
+
+    @settings(max_examples=250)
+    @given(PICKS)
+    def test_matches_the_fraction_picker(self, case):
+        (modulus, base), lo, width, denominator, real, r0 = case
+        hi, u = lo + width, real / r0
+        u_num, u_den = real.numerator * r0.denominator, real.denominator * r0.numerator  # unreduced, either sign
+        bounds = [(b.numerator * denominator * u_den, b.denominator * u_num) for b in (lo, hi)]
+        expected = pick_by_fractions(base, modulus, (lo * denominator / u, hi * denominator / u))
+        assert quasiorbit._pick_numerator(base, modulus, bounds) == expected
+        assert quasiorbit._pick_numerator(base, modulus, bounds[::-1]) == expected
+        assert quasiorbit._pick_numerator(base, modulus, None) == pick_by_fractions(base, modulus, (0, math.inf))
+
+    def test_zero_is_never_picked(self):
+        assert quasiorbit._pick_numerator(0, 5, [(-1, 2), (3, 1)]) is None
+        assert quasiorbit._pick_numerator(0, 5, [(-11, 2), (3, -1)]) == -5
+        assert quasiorbit._pick_numerator(0, 5, None) == 5
+
+
 def witness_or_error(a, nbhd):
     try:
         return approx_witness(a, nbhd)

@@ -553,11 +553,14 @@ def factor_idele(a: FullAdele) -> Tuple[Fraction, UnitIdele]:
     r is sign * q' * prod p^v_p(a_p) over the explicit primes: the sign of
     the real part, the numerator q' of the default rational with the
     explicit primes divided out, and the explicit prime powers.  The
-    factorization is unique.
+    factorization is unique.  u divides each explicit entry and q by r;
+    no prime migrates into the explicit map, as off the explicit primes r
+    is q', which divides q's numerator, so nothing is factored.
     """
     if not isinstance(a, FullAdele):
         raise ValueError("idele factorization needs a full adele")
     if not is_invertible(a):
         raise NotInvertible("only invertible full adeles factor through the units")
     r = _idele_rational(a)
-    return r, UnitIdele(scale(1 / r, a.finite_part), a.real_part / r)
+    unit = FiniteAdele({p: v / r for p, v in a.explicit.items()}, DefaultSpec.rational(a.default.q / r))
+    return r, UnitIdele(unit, a.real_part / r)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
-from .errors import NoIntegerSolution, NonCoprimeModuli
+from .errors import NoIntegerSolution, NonCoprimeModuli, WorkBoundExceeded
 
 Rational = Union[int, Fraction]
 
@@ -33,6 +33,8 @@ _PRIMALITY_LIMIT = 2**64
 #: Below this bound the twelve bases decide primality exactly (Sorenson and
 #: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 _MILLER_RABIN_EXACT = 318665857834031151167461
+_TRIAL_BOUND = 2**16  # prime_factors trial-divides by the primes below it
+_RHO_STEPS = 2**16  # the budget of _rho_divisor, which raises WorkBoundExceeded past it
 
 
 def _require_int(value, name: str) -> None:
@@ -161,22 +163,50 @@ def _sieve_past(primes: Tuple[Prime, ...]) -> Tuple[Prime, ...]:
 
 
 def prime_factors(n: int) -> dict:
-    """Factor a nonzero integer into {Prime: multiplicity} by trial division,
-    which stops once the cofactor passes the primality test (below
-    _MILLER_RABIN_EXACT, where it is exact; Prime rejects 2**64 and above).
-    Each factor is split off by ``_split``: its cost follows log(multiplicity)."""
+    """Factor a nonzero integer into {Prime: multiplicity}.  Trial division
+    below _TRIAL_BOUND leaves primes past it, so a part below its square is
+    prime, as is one the primality test passes where it is exact; others
+    split by their square root or ``_rho_divisor``, primes by ``_split``."""
     if n == 0:
         raise ValueError("cannot factor zero")
-    n, out, d = abs(n), {}, 2
-    cofactor_prime = n < _MILLER_RABIN_EXACT and is_prime(n)
-    while not cofactor_prime and d * d <= n:
-        if n % d == 0:
-            out[Prime(d)], n = _split(n, d)
-            cofactor_prime = n < _MILLER_RABIN_EXACT and is_prime(n)
-        d += 2 if d > 2 else 1
-    if n > 1:
-        out[Prime(n)] = 1
-    return out
+    n, out = abs(n), {}
+    for p in iter_primes():
+        if p >= _TRIAL_BOUND or p * p > n:
+            break
+        if n % p == 0:
+            out[p], n = _split(n, p)
+    while n > 1:
+        d = n
+        while d >= _TRIAL_BOUND**2 and not (d < _MILLER_RABIN_EXACT and is_prime(d)):
+            s = math.isqrt(d)
+            d = s if s * s == d else _rho_divisor(d)
+        out[Prime(d)], n = _split(n, d)
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of n, a non-square with no prime below _TRIAL_BOUND:
+    Pollard's rho (BIT 15, 1975), Brent's cycle finding and a gcd a stride
+    (BIT 20, 1980).  A step y -> y*y + c mod n costs 1 + (bits // 512)**2 of
+    _RHO_STEPS, as reducing mod n is quadratic; a prime n raises at the end."""
+    budget, cost = _RHO_STEPS, 1 + (n.bit_length() // 512) ** 2
+    for c in itertools.count(1):
+        y, stride, g = 2, 1, 1
+        while g == 1:  # y walks a stride of steps, each against x, where the stride began
+            if stride * cost > budget:
+                raise WorkBoundExceeded(f"a {n.bit_length()}-bit cofactor exceeds the step budget of Pollard's rho")
+            x, q, budget = y, 1, budget - stride * cost
+            for _ in range(stride):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g, stride = math.gcd(q, n), 2 * stride
+        if g == n:  # the stride met every factor at once: walk it again one gcd per step
+            y, g = x, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+        if g != n:
+            return g
 
 
 def _split(n: int, p: int) -> Tuple[int, int]:

@@ -126,10 +126,10 @@ def exact_orbit_witness(a: Adele, b: Adele) -> Optional[Fraction]:
     signs.  Scaling keeps the default kind and maps q to r * q, so a
     nonzero default forces r = q_b / q_a.  Under a ZERO default r is read
     from the real part or from the first prime where a does not vanish,
-    which is explicit in a.  The one candidate is then checked at the
-    real place and at the primes explicit in a or b, without building
-    r * a, so nothing is factored; the default rule holds by the choice
-    of r.
+    which is explicit in a.  The one candidate is then checked at the real
+    place and at the primes explicit in a or b, each r * x == y
+    cross-multiplied, so neither r * a nor a Fraction product is built and
+    nothing is factored; the default rule holds by the choice of r.
     """
     full = _require_same_kind(a, b)
     if a.default.kind != b.default.kind:
@@ -142,9 +142,14 @@ def exact_orbit_witness(a: Adele, b: Adele) -> Optional[Fraction]:
         r = next((b.component(p) / v for p, v in a.explicit.items() if v != 0), None)
         if r is None:  # a vanishes identically; only b == a keeps it in the orbit
             return Fraction(1) if a == b else None
-    if r == 0 or (not full and r < 0) or (full and r * a.real_part != b.real_part):
+    if r == 0 or (not full and r < 0):
         return None
-    return r if all(r * a.component(p) == b.component(p) for p in a.explicit.keys() | b.explicit.keys()) else None
+    n, d = r.numerator, r.denominator
+    xs, ys = a.explicit, b.explicit
+    pairs = [(a.real_part, b.real_part)] if full else []
+    pairs += [(xs[p] if p in xs else a.default.value_at(p), ys[p] if p in ys else b.default.value_at(p))
+              for p in xs.keys() | ys.keys()]
+    return r if all(n * x.numerator * y.denominator == y.numerator * d * x.denominator for x, y in pairs) else None
 
 
 def is_zero_divisor(a: FiniteAdele) -> bool:
@@ -204,14 +209,16 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     full = _check_kind(a, nbhd)
     closed = full and is_invertible(a)
     r0 = _idele_rational(a) if closed else 1
+    explicit, default = a.explicit, a.default
     if full:
         lo, hi = nbhd.real_interval
         real = a.real_part
         u_num, u_den = real.numerator * r0.denominator, real.denominator * r0.numerator  # u_oo = a_oo / r0
     if not closed:  # an invertible adele has no vanishing coordinate
+        # a_p vanishes at an explicit 0 or, elsewhere, under a ZERO default (the zero-set rule);
         # a vanishing coordinate meets a ball only through 0 (B(0, 0) off the balls holds it)
         for p, ball in nbhd.balls.items():
-            if a.component(p) == 0 and not ball.contains(0):
+            if (explicit[p] == 0 if p in explicit else default.kind == ZERO) and not ball.contains(0):
                 raise Infeasible(f"component at p={int(p)} vanishes but the ball excludes 0")
         if full and real == 0 and not lo < 0 < hi:
             raise Infeasible("real part vanishes but the interval excludes 0")
@@ -219,8 +226,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     # rewrite each ball constraint as a congruence datum for r (for t = r * r0 when closed)
     cong_data = []  # (p, exponent, centre gamma of the r-ball as an unreduced pair)
     denominator_core = 1
-    for p in sorted(nbhd.balls.keys() | a.explicit.keys()):
-        a_p = a.component(p)
+    for p in sorted(nbhd.balls.keys() | explicit.keys()):
+        a_p = explicit[p] if p in explicit else default.value_at(p)
         if a_p == 0:
             continue  # a feasible ball, satisfied by every r
         ball = nbhd.balls.get(p)
@@ -250,8 +257,8 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
         # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
         threshold = abs(real.numerator) * hi.denominator * lo.denominator * modulus // (
             real.denominator * (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * denominator_core)
-        vanishing = [p for p, v in a.explicit.items() if v == 0]
-        if a.default.kind == ZERO:
+        vanishing = [p for p, v in explicit.items() if v == 0]
+        if default.kind == ZERO:
             vanishing.append(next(_default_primes(a)))
         if vanishing:  # Case I: powers of the smallest vanishing prime
             p = min(vanishing)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic import adele
 from adelic.adele import _scaled_in
 from adelic.adele import (
     EXTENDED_PRIMES,
@@ -43,6 +44,28 @@ def finite(explicit, default):
 
 def full(explicit, default, real):
     return FullAdele(FiniteAdele(explicit, default), real)
+
+
+FACTOR_PRIMES = (2, 3, 5, 7)
+factor_prime_sets = st.sets(st.sampled_from(FACTOR_PRIMES))
+factor_exponents = st.integers(-2, 2)
+factor_signed = st.integers(-30, 30).filter(bool)
+factor_values = st.builds(F, factor_signed, st.integers(1, 30))
+coin = st.booleans()
+
+
+@st.composite
+def _invertible_adeles(draw):
+    """Invertible full adeles: q is an integer, whose primes may be
+    explicit, times powers of the explicit primes; each entry restates q
+    or is drawn, and the real part has either sign."""
+    primes = sorted(draw(factor_prime_sets))
+    q = F(draw(factor_signed)) * math.prod(F(p) ** draw(factor_exponents) for p in primes)
+    explicit = {p: q if draw(coin) else draw(factor_values) for p in primes}
+    return full(explicit, DefaultSpec.rational(q), draw(factor_values))
+
+
+invertible_adeles = _invertible_adeles()
 
 
 class TestConstruction:
@@ -196,6 +219,14 @@ class TestScale:
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
             scale(0, embed_rational(1))
+
+    def test_square_prime_cofactor_migrates_at_once(self, deadline):
+        # the cofactor (2**61 - 1)**2 is split by its square root, not by trial division
+        P = 2**61 - 1
+        r = F(1, P**2)
+        with deadline(1):
+            b = scale(r, embed_rational(1))
+        assert b.explicit == {P: r} and b.default == DefaultSpec.rational(r)
 
     def test_large_prime_cofactor_migrates_at_once(self, deadline):
         # trial division up to sqrt(2**61 - 1) would take hours; the
@@ -389,6 +420,28 @@ class TestFactorIdele:
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
             factor_idele(full({2: F(0)}, DefaultSpec.rational(1), F(1)))
+
+    @settings(max_examples=200)
+    @given(invertible_adeles)
+    def test_unit_is_described_as_the_scale_route_described_it(self, a):
+        # the earlier route built the unit's finite part as scale(1 / r, a)
+        r, u = factor_idele(a)
+        old = scale(1 / r, a.finite_part)
+        assert list(u.explicit.items()) == list(old.explicit.items())
+        assert u.default == old.default and u.real_part == a.real_part / r
+        assert repr(u) == repr(UnitIdele(old, a.real_part / r))
+
+    def test_builds_the_unit_without_scale_or_factoring(self, monkeypatch):
+        a = full({2: F(8), 3: F(1, 9), 5: F(5, 7), 7: F(21)}, DefaultSpec.rational(21), F(-1, 2))
+        expected = (F(-280, 9), UnitIdele(scale(F(-9, 280), a.finite_part), F(9, 560)))
+
+        def refuse(*args):
+            raise AssertionError("factor_idele builds its unit directly")
+
+        monkeypatch.setattr(adele, "scale", refuse)
+        monkeypatch.setattr(adele, "prime_factors", refuse)
+        r, u = factor_idele(a)
+        assert (r, u) == expected and repr(u) == repr(expected[1])
 
     @given(small_nonzero, st.fractions(min_value=F(1, 9), max_value=F(9), max_denominator=9))
     def test_roundtrip(self, r, real):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adelic import padic
-from adelic.errors import NoIntegerSolution, NonCoprimeModuli
+from adelic.errors import NoIntegerSolution, NonCoprimeModuli, WorkBoundExceeded
 from adelic.padic import (
     INFINITE_VALUATION,
     INFINITY,
@@ -34,6 +34,9 @@ rationals = st.fractions(
 )
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 prime_st = st.sampled_from(SMALL_PRIMES).map(Prime)
+# primes past the trial-division bound, so that their products reach Pollard's rho
+RHO_PRIMES = [p for p in range(2**16, 2**16 + 400) if is_prime(p)] + [1000003]
+rho_products = st.lists(st.sampled_from(RHO_PRIMES), min_size=1, max_size=4)
 
 
 class TestPrime:
@@ -410,6 +413,49 @@ class TestFactoringStops:
         with deadline(1):
             with pytest.raises(ValueError, match="too large"):
                 prime_factors(2**64 + 13)
+
+    def test_square_cofactor_is_split_by_its_root(self, deadline):
+        # trial division up to 2**61 - 1 would take hours
+        P = 2**61 - 1
+        with deadline(1):
+            assert prime_factors(2**5 * 3 * P**2) == {2: 5, 3: 1, P: 2}
+            assert prime_factors(P**4 * 7) == {7: 1, P: 4}
+
+    def test_rho_splits_a_composite_cofactor(self, deadline):
+        with deadline(1):
+            assert prime_factors(65537 * 65539) == {65537: 1, 65539: 1}
+            assert prime_factors(12 * (2**31 - 1) * 1000003) == {2: 2, 3: 1, 1000003: 1, 2**31 - 1: 1}
+
+    @pytest.mark.parametrize(
+        "n, bits",
+        [
+            ((2**61 - 1) ** 3, 183),  # no square, and rho meets 2**61 - 1 only after ~2**30 steps
+            ((2**61 - 1) * (2**89 - 1), 150),
+            (5 * (2**521 - 1), 521),  # a prime past the exact range of the primality test
+        ],
+    )
+    def test_a_cofactor_past_the_rho_budget_raises(self, deadline, n, bits):
+        with deadline(1), pytest.raises(WorkBoundExceeded) as info:
+            prime_factors(n)
+        assert info.value.code == "work_bound_exceeded"
+        assert str(info.value) == f"a {bits}-bit cofactor exceeds the step budget of Pollard's rho"
+
+    def test_a_long_cofactor_pays_more_per_rho_step(self, deadline):
+        # 65537 is found in a few hundred steps of a short n, but a step of
+        # a 64,000-bit n costs a quarter of the budget
+        assert prime_factors(65537**3 * 65539) == {65537: 3, 65539: 1}
+        n = 65537**4001
+        with deadline(1), pytest.raises(WorkBoundExceeded, match=f"^a {n.bit_length()}-bit cofactor"):
+            prime_factors(n)
+
+    @given(rho_products)
+    def test_rho_matches_the_drawn_primes(self, primes):
+        expected = {}
+        for p in primes:
+            expected[p] = expected.get(p, 0) + 1
+        factors = prime_factors(math.prod(primes))
+        assert factors == expected and list(factors) == sorted(expected)
+        assert all(type(p) is Prime for p in factors)
 
     def test_miller_rabin_is_exact_up_to_its_bound(self):
         # the bound is the least strong pseudoprime to all twelve bases

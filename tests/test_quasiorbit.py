@@ -189,6 +189,23 @@ class TestExactWitness:
         # a nonzero default forces r = q_b / q_a
         assert exact_orbit_witness(finite({}, qa), finite({}, qb)) == r
 
+    def test_a_zero_of_b_that_a_lacks_refutes_the_candidate(self):
+        # the default forces r = 2, which cannot map a_3 = 3 to b_3 = 0
+        a = finite({3: F(3)}, DefaultSpec.rational(1))
+        assert exact_orbit_witness(a, finite({3: F(0)}, DefaultSpec.rational(2))) is None
+        # under a ZERO default the first explicit entry forces r = 2; b vanishes at 5, a does not
+        a = finite({2: F(1), 5: F(7)}, DefaultSpec.zero())
+        assert exact_orbit_witness(a, finite({2: F(2)}, DefaultSpec.zero())) is None
+        assert exact_orbit_witness(a, finite({2: F(2), 5: F(14)}, DefaultSpec.zero())) == 2
+
+    def test_a_forced_negative_witness_is_refused_on_finite_adeles(self):
+        a = finite({3: F(1, 3)}, DefaultSpec.rational(F(2, 3)))
+        b = finite({3: F(-1, 3)}, DefaultSpec.rational(F(-2, 3)))
+        assert exact_orbit_witness(a, b) is None  # the defaults force r = -1
+        assert exact_orbit_witness(FullAdele(a, 1), FullAdele(b, -1)) == -1
+        zero_default = finite({7: F(2)}, DefaultSpec.zero())
+        assert exact_orbit_witness(zero_default, finite({7: F(-4)}, DefaultSpec.zero())) is None
+
     def test_mismatched_real_parts(self):
         # the default rule forces r = 1, which the real parts refute
         a = full({2: F(3)}, DefaultSpec.rational(1), F(0))
@@ -347,6 +364,21 @@ class TestApproxWitnessFinite:
         with pytest.raises(Infeasible, match="p=5"):
             approx_witness(FullAdele(a, 0), Neighbourhood(balls, real_interval=(F(1), F(2))))
         assert rewrites == []
+
+    def test_a_zero_default_vanishes_at_a_ball_off_the_explicit_primes(self):
+        a = finite({2: F(1)}, DefaultSpec.zero())
+        with pytest.raises(Infeasible, match=r"^component at p=3 vanishes but the ball excludes 0$"):
+            approx_witness(a, Neighbourhood({3: PadicBall(3, F(1), 1)}))
+        # a ball holding 0 is met by every r there
+        nbhd = Neighbourhood({2: PadicBall(2, F(1, 2), 1), 3: PadicBall(3, F(0), 5)})
+        assert approx_witness(a, nbhd) == F(1, 2)
+
+    def test_a_times_p_ball_off_the_explicit_primes_passes_the_pre_pass(self):
+        # a_3 = 3 under TIMES_P(1): it does not vanish, so the ball is rewritten, not refused
+        a = finite({2: F(1)}, DefaultSpec.times_p(1))
+        nbhd = Neighbourhood({3: PadicBall(3, F(1), 1)})
+        r = approx_witness(a, nbhd)
+        assert valuation(r, 3) == -1 and nbhd.contains(scale(r, a))
 
     def test_negative_valuation_off_the_balls(self):
         # the witness must also repair integrality at 7

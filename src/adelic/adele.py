@@ -32,6 +32,7 @@ from .padic import (
     Prime,
     Rational,
     _fraction,
+    _in_ball,
     _split,
     expand,
     extended_prime_key,
@@ -388,11 +389,8 @@ def _scaled_in(nbhd: Neighbourhood, r: Rational, a: Adele, primes: Iterable = ()
         v = explicit.get(p)
         v = default.value_at(p) if v is None else v
         c, radius = (balls[p].center, balls[p].radius_exponent) if p in balls else (0, 0)  # Z_p = B(0, 0)
-        # r * v - c = diff / den unreduced: in the ball exactly when p**(radius + v_p(den)) divides diff;
-        # diff == 0 decides first, so den, which holds all of r's denominator, is split only when needed
-        x_num, x_den = v.numerator * r_num, v.denominator * r_den
-        diff, den = x_num * c.denominator - c.numerator * x_den, x_den * c.denominator
-        if diff and diff % p ** max(0, radius + _split(den, p)[0]):
+        # r * v unreduced, so all of r's denominator is split only when r * v is not the centre
+        if not _in_ball(p, v.numerator * r_num, v.denominator * r_den, c, radius):
             return False
     # off the places the default absorbs the rest of r's denominator; value_at gives 0, q or q * prod(primes)
     if default.value_at(math.prod(set(primes))).numerator % _strip(r_den, places):
@@ -418,17 +416,15 @@ def _check_kind(a: Adele, nbhd: Neighbourhood) -> bool:
 def embed_rational(q: Rational, kind: str = "finite") -> Adele:
     """Diagonally embed a rational: the component is q at every place.
 
-    Only q's denominator is factored: the FiniteAdele invariant lists its
-    primes, and the default rule gives q at every other place."""
+    For q != 0 the finite part is q times the finite adele 1, so ``scale``
+    builds it: the primes of q's denominator migrate into the explicit
+    map, and the default rule gives q at every other place.  Only that
+    denominator is factored.  For q = 0 it is the zero adele."""
     q = _fraction(q)
-    explicit = {p: q for p in prime_factors(q.denominator)}
-    default = DefaultSpec.zero() if q == 0 else DefaultSpec.rational(q)
-    fin = FiniteAdele(explicit, default)
-    if kind == "finite":
-        return fin
-    if kind == "full":
-        return FullAdele(fin, q)
-    raise ValueError(f"kind must be 'finite' or 'full', got {kind!r}")
+    if kind not in ("finite", "full"):  # before anything is factored
+        raise ValueError(f"kind must be 'finite' or 'full', got {kind!r}")
+    fin = scale(q, FiniteAdele({}, DefaultSpec.rational(1))) if q else FiniteAdele({}, DefaultSpec.zero())
+    return fin if kind == "finite" else FullAdele(fin, q)
 
 
 def scale(r: Rational, a: Adele) -> Adele:
@@ -437,8 +433,11 @@ def scale(r: Rational, a: Adele) -> Adele:
     Primes of the new default rational's denominator that are not yet
     explicit migrate into the explicit map, so the default-rule invariant
     survives.  Only that cofactor is ever factored, never the numerator
-    of r.  The result is built by the public constructors, which check it
-    like any other adele.
+    of r; this is the one place the library factors, and
+    ``embed_rational`` goes through it.  A cofactor that cannot be
+    factored within ``prime_factors``' bounds raises WorkBoundExceeded.
+    The result is built by the public constructors, which check it like
+    any other adele.
     """
     r = _fraction(r)
     if r == 0:

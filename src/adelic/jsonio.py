@@ -110,6 +110,21 @@ def _require_list(value: Any, what: str) -> List:
     return value
 
 
+def _read_kind(doc: Dict, kinds: Dict, what: str):
+    """The object a "kind"-tagged JSON object describes.  Its kind picks a
+    row of kinds, (required keys besides "kind", optional keys, builder),
+    which fixes its keys and builds it.  Builders name the public parsers
+    at call time, so a binding replaced on this module (as the benchmark's
+    tracer does) is the one called."""
+    kind = doc["kind"]
+    row = kinds.get(kind) if isinstance(kind, str) else None  # an unhashable kind is unknown too
+    if row is None:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    required, optional, build = row
+    _require_keys(doc, ["kind", *required], optional)
+    return build(doc)
+
+
 # -- adeles -----------------------------------------------------------------
 
 
@@ -213,13 +228,13 @@ def dump_neighbourhood(v: Neighbourhood) -> Dict:
 
 def parse_parameter_point(doc: Dict) -> ParameterPoint:
     _require_keys(doc, ["kind"], ["set", "unit"])
-    if doc["kind"] == "prime_set":
-        _require_keys(doc, ["kind", "set"])
-        return ParameterPoint.of_prime_set(parse_prime_set(doc["set"]))
-    if doc["kind"] == "unit_class":
-        _require_keys(doc, ["kind", "unit"])
-        return ParameterPoint.of_unit(parse_unit_idele(doc["unit"]))
-    raise ValueError(f"unknown parameter point kind {doc['kind']!r}")
+    return _read_kind(doc, _POINT_KINDS, "parameter point")
+
+
+_POINT_KINDS = {
+    "prime_set": (["set"], [], lambda doc: ParameterPoint.of_prime_set(parse_prime_set(doc["set"]))),
+    "unit_class": (["unit"], [], lambda doc: ParameterPoint.of_unit(parse_unit_idele(doc["unit"]))),
+}
 
 
 def dump_parameter_point(pt: ParameterPoint) -> Dict:
@@ -255,37 +270,27 @@ def parse_descriptor(doc: Dict) -> SetDescriptor:
     for atom_doc in _require_list(doc["atoms"], "atoms"):
         if not isinstance(atom_doc, dict) or "kind" not in atom_doc:
             raise ValueError("each atom needs a kind")
-        kind = atom_doc["kind"]
-        if kind == "prime_set_point":
-            _require_keys(atom_doc, ["kind", "set"])
-            atoms.append(PrimeSetPoint(parse_prime_set(atom_doc["set"])))
-        elif kind == "singleton_family":
-            _require_keys(atom_doc, ["kind", "excluded"], ["base"])
-            base = _parse_base(atom_doc.get("base", "extended"))
-            atoms.append(
-                SingletonFamily(
-                    frozenset(parse_place(p) for p in _require_list(atom_doc["excluded"], "excluded")), base
-                )
-            )
-        elif kind == "unit_point":
-            _require_keys(atom_doc, ["kind", "unit"])
-            atoms.append(UnitPoint(parse_unit_idele(atom_doc["unit"])))
-        elif kind == "unit_family":
-            _require_keys(atom_doc, ["kind", "prefix", "inf_abs_zero"])
-            prefix = tuple(parse_unit_idele(u) for u in _require_list(atom_doc["prefix"], "prefix"))
-            flag = atom_doc["inf_abs_zero"]
-            if not isinstance(flag, bool):
-                raise ValueError("inf_abs_zero must be a boolean")
-            atoms.append(UnitFamily(prefix, flag))
-        elif kind == "character_point":
-            _require_keys(atom_doc, ["kind", "character"])
-            atoms.append(CharacterPoint(parse_character(atom_doc["character"])))
-        elif kind == "all_characters":
-            _require_keys(atom_doc, ["kind"])
-            atoms.append(ALL_CHARACTERS)
-        else:
-            raise ValueError(f"unknown atom kind {kind!r}")
+        atoms.append(_read_kind(atom_doc, _ATOM_KINDS, "atom"))
     return SetDescriptor(tuple(atoms))
+
+
+def _unit_family(doc: Dict) -> UnitFamily:
+    prefix = tuple(parse_unit_idele(u) for u in _require_list(doc["prefix"], "prefix"))
+    if not isinstance(doc["inf_abs_zero"], bool):
+        raise ValueError("inf_abs_zero must be a boolean")
+    return UnitFamily(prefix, doc["inf_abs_zero"])
+
+
+_ATOM_KINDS = {
+    "prime_set_point": (["set"], [], lambda doc: PrimeSetPoint(parse_prime_set(doc["set"]))),
+    "singleton_family": (["excluded"], ["base"], lambda doc: SingletonFamily(
+        base=_parse_base(doc.get("base", "extended")),  # keywords are read in order: the base first
+        excluded=frozenset(parse_place(p) for p in _require_list(doc["excluded"], "excluded")))),
+    "unit_point": (["unit"], [], lambda doc: UnitPoint(parse_unit_idele(doc["unit"]))),
+    "unit_family": (["prefix", "inf_abs_zero"], [], _unit_family),
+    "character_point": (["character"], [], lambda doc: CharacterPoint(parse_character(doc["character"]))),
+    "all_characters": ([], [], lambda doc: ALL_CHARACTERS),
+}
 
 
 def dump_closed_descriptor(c: ClosedSetDescriptor) -> Dict:

@@ -166,7 +166,9 @@ def prime_factors(n: int) -> dict:
     """Factor a nonzero integer into {Prime: multiplicity}.  Trial division
     below _TRIAL_BOUND leaves primes past it, so a part below its square is
     prime, as is one the primality test passes where it is exact; others
-    split by their square root or ``_rho_divisor``, primes by ``_split``."""
+    split by their square root or ``_rho_divisor``, primes by ``_split``.
+    A cofactor past rho's step budget, or a prime cofactor of 2**64 or
+    more, which Prime would refuse, raises WorkBoundExceeded."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n, out = abs(n), {}
@@ -180,6 +182,8 @@ def prime_factors(n: int) -> dict:
         while d >= _TRIAL_BOUND**2 and not (d < _MILLER_RABIN_EXACT and is_prime(d)):
             s = math.isqrt(d)
             d = s if s * s == d else _rho_divisor(d)
+        if d >= _PRIMALITY_LIMIT:
+            raise WorkBoundExceeded(f"a {d.bit_length()}-bit prime cofactor is past 2**64, the range Prime verifies")
         out[Prime(d)], n = _split(n, d)
     return dict(sorted(out.items()))
 
@@ -320,14 +324,18 @@ class PadicBall:
         _require_int(self.radius_exponent, "radius_exponent")
 
     def contains(self, x: Rational) -> bool:
-        x, c, p = _rational(x), self.center, self.prime
-        # x - c = diff / den unreduced, so it lies in the ball exactly when
-        # p**k divides diff, k = radius + v_p(den)
-        diff, den = x.numerator * c.denominator - c.numerator * x.denominator, x.denominator * c.denominator
-        if diff == 0:  # x is the center
-            return True
-        k = self.radius_exponent + _split(den, p)[0] if den % p == 0 else self.radius_exponent
-        return k <= 0 or diff % p**k == 0
+        x = _rational(x)
+        return _in_ball(self.prime, x.numerator, x.denominator, self.center, self.radius_exponent)
+
+
+def _in_ball(p: int, num: int, den: int, centre: Rational, e: int) -> bool:
+    """Whether num / den, in lowest terms or not, lies in B(centre, e) at p.
+    With centre = c_num / c_den the difference is diff / (den * c_den)
+    unreduced, for diff = num * c_den - c_num * den, so it lies in the
+    ball exactly when p**max(0, e + v_p(den * c_den)) divides diff;
+    diff == 0 decides before den is split."""
+    diff = num * centre.denominator - centre.numerator * den
+    return diff == 0 or diff % p ** max(0, e + _split(den * centre.denominator, p)[0]) == 0
 
 
 def ball_contains(ball: PadicBall, x: Rational) -> bool:

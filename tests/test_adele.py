@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic import adele
@@ -28,8 +28,8 @@ from adelic.adele import (
     xi_partial,
     zero_set,
 )
-from adelic.errors import InfinityOnFiniteAdele, NotInvertible, ZeroComponent
-from adelic.padic import INFINITE_VALUATION, INFINITY, PadicBall, Prime, valuation
+from adelic.errors import InfinityOnFiniteAdele, NotInvertible, WorkBoundExceeded, ZeroComponent
+from adelic.padic import INFINITE_VALUATION, INFINITY, PadicBall, Prime, prime_factors, valuation
 
 F = Fraction
 
@@ -175,6 +175,9 @@ class TestUnitRule:
             assert four_old_checks(fin, real)
 
 
+embed_rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6)
+
+
 class TestEmbed:
     def test_six(self):
         # only the denominator's primes are listed; the default gives 6 at 2 and 3
@@ -200,6 +203,19 @@ class TestEmbed:
         a = embed_rational(F(1, 3), kind="full")
         assert set(a.explicit) == {3}
         assert a.real_part == F(1, 3)
+
+    @given(embed_rationals, st.sampled_from(["finite", "full"]))
+    @example(F(0), "finite")
+    @example(F(0), "full")
+    def test_matches_the_explicit_construction(self, q, kind):
+        # the former construction, which listed the primes of q's denominator
+        # itself; dump_adele prints the description, so it must agree exactly
+        fin = FiniteAdele({p: q for p in prime_factors(q.denominator)},
+                          DefaultSpec.rational(q) if q else DefaultSpec.zero())
+        expected = fin if kind == "finite" else FullAdele(fin, q)
+        a = embed_rational(q, kind)
+        assert type(a) is type(expected) and a == expected
+        assert list(a.explicit.items()) == list(expected.explicit.items()) and a.default == expected.default
 
 
 class TestScale:
@@ -239,14 +255,14 @@ class TestScale:
             assert set(b.explicit) == {p for p in (3, P) if r.denominator % p == 0}
 
     def test_prime_cofactor_past_2_64_is_rejected_at_once(self, deadline):
-        # the cofactor passes the primality test, so Prime's "too large"
-        # check ends the call instead of trial division toward 2**32
+        # the cofactor passes the primality test, so the work bound past
+        # Prime's range ends the call instead of trial division toward 2**32
         r = F(1, 2**64 + 13)
         with deadline(1):
-            with pytest.raises(ValueError, match="too large"):
-                scale(r, finite({}, DefaultSpec.rational(1)))
-            with pytest.raises(ValueError, match="too large"):
-                embed_rational(r)
+            for call in (lambda: scale(r, finite({}, DefaultSpec.rational(1))), lambda: embed_rational(r)):
+                with pytest.raises(WorkBoundExceeded) as info:
+                    call()
+                assert info.value.code == "work_bound_exceeded"
 
     def test_results_pass_the_constructor_check(self, monkeypatch):
         checked = []
@@ -689,6 +705,9 @@ INPUT_CHECKS = [
                  id="set-kind"),
     pytest.param(lambda: embed_rational(1, "bogus"), ValueError, "kind must be 'finite' or 'full', got 'bogus'",
                  id="embed-kind"),
+    # the kind is judged before q's denominator is factored
+    pytest.param(lambda: embed_rational(F(1, 2**64 + 13), "bogus"), ValueError,
+                 "kind must be 'finite' or 'full', got 'bogus'", id="embed-kind-before-factoring"),
     pytest.param(lambda: component(embed_rational(1), 2), ValueError, "precision is required at a finite prime",
                  id="component-precision"),
     pytest.param(lambda: is_invertible(embed_rational(1)), ValueError, "invertibility is a full-adele notion",

@@ -241,6 +241,27 @@ INPUT_CHECKS = [
     pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "unit_family", "prefix": [], "inf_abs_zero": 1}]}),
                  "inf_abs_zero must be a boolean", id="inf-abs-zero"),
     pytest.param(lambda: jsonio.parse_prime_set_list({}), "expected a JSON list of prime sets", id="points-list"),
+    # an unhashable kind is unknown like any other, not a TypeError
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": ["x"]}]}), "unknown atom kind ['x']",
+                 id="atom-kind-unhashable"),
+    pytest.param(lambda: jsonio.parse_parameter_point({"kind": ["x"]}), "unknown parameter point kind ['x']",
+                 id="point-kind-unhashable"),
+    # a known kind fixes its keys: unknown keys are reported before missing ones
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "unit_point"}]}), "missing keys ['unit']",
+                 id="atom-missing-key"),
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "all_characters", "x": 1}]}), "unknown keys ['x']",
+                 id="atom-unknown-key"),
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "unit_point", "x": 1}]}), "unknown keys ['x']",
+                 id="atom-unknown-before-missing"),
+    pytest.param(lambda: jsonio.parse_parameter_point({"kind": "prime_set", "unit": {}}), "unknown keys ['unit']",
+                 id="point-key-of-another-kind"),
+    pytest.param(lambda: jsonio.parse_parameter_point({"kind": "bogus", "x": 1}), "unknown keys ['x']",
+                 id="point-unknown-key-before-kind"),
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "bogus", "x": 1}]}), "unknown atom kind 'bogus'",
+                 id="atom-kind-before-keys"),
+    # a singleton family reads its base before its places
+    pytest.param(lambda: jsonio.parse_descriptor({"atoms": [{"kind": "singleton_family", "base": "x", "excluded": "23"}]}),
+                 "unknown base 'x'", id="singleton-base-first"),
     pytest.param(lambda: jsonio.parse_adele([]), "expected a JSON object, got list", id="non-object"),
 ]
 

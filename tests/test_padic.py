@@ -409,10 +409,14 @@ class TestFactoringStops:
 
     def test_prime_cofactor_past_2_64_is_rejected_at_once(self, deadline):
         # below padic._MILLER_RABIN_EXACT the test is exact, so the prime
-        # cofactor meets Prime's "too large" check, not trial division
+        # cofactor is proven at once, and refused as past Prime's range
+        # with the work-bound code, not trial division
         with deadline(1):
-            with pytest.raises(ValueError, match="too large"):
+            with pytest.raises(WorkBoundExceeded) as info:
                 prime_factors(2**64 + 13)
+        assert info.value.code == "work_bound_exceeded"
+        with pytest.raises(ValueError, match="too large"):
+            Prime(2**64 + 13)
 
     def test_square_cofactor_is_split_by_its_root(self, deadline):
         # trial division up to 2**61 - 1 would take hours

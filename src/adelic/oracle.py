@@ -11,7 +11,13 @@ denominators come from an ascending stream, and the candidates over a
 denominator d are queued only when the scan reaches height d, so its
 cost follows the height of the answer, not the height bound.  A prime
 that no member can have in its denominator draws no denominators, so a
-fruitless search walks only the denominators its places admit.
+fruitless search walks only the denominators its places admit.  A stream
+of candidates is a plain heap entry advanced in place; it opens only when
+the real interval leaves it a numerator, and its places' moduli are
+computed once per denominator, so a candidate costs a few integer
+operations.  Every candidate and denominator spends a step of a fixed
+budget, ``_SEARCH_STEPS``, and a search that runs past it raises
+WorkBoundExceeded, so no search runs unbounded, whatever its height bound.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import takewhile
 from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
@@ -29,6 +35,7 @@ from .errors import WorkBoundExceeded
 from .padic import Prime, _require_int, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
+_SEARCH_STEPS = 2**18  # witness_by_search's steps, a candidate one and a denominator four; past them, WorkBoundExceeded
 
 
 @dataclass(frozen=True)
@@ -75,11 +82,10 @@ def _smooth_denominators(primes: List[Prime], bound: int, max_exp: int) -> Itera
     while heap:
         d, i, e = heapq.heappop(heap)
         yield d
-        for j in range(i, len(primes)):
+        for j in range(i if e < max_exp else i + 1, len(primes)):
             if d * primes[j] > bound:
                 break
-            if j > i or e < max_exp:
-                heapq.heappush(heap, (d * primes[j], j, e + 1 if j == i else 1))
+            heapq.heappush(heap, (d * primes[j], j, e + 1 if j == i else 1))
 
 
 def witness_by_search(
@@ -92,76 +98,85 @@ def witness_by_search(
     ones; the first member of the neighbourhood wins.  Returns None when
     no candidate of admissible height works.
 
-    The scan is lazy: each (denominator, sign) pair streams its reduced
-    fractions in key order (height, numerator, denominator, + before -)
-    into one heap, so a candidate is built only when every candidate
-    before it has failed.  Denominators arrive in ascending order, and
-    the streams over d join the heap only once every queued candidate of
-    height below d has failed: each of their candidates has height
-    max(n, d) >= d, so a search that ends at height h never generates a
-    denominator, or opens a stream, above h.  Membership never builds
-    r * a: the real interval clips each stream's numerator range by
-    integer floor division, and each place where r * a can fail tests
-    its ball, Z_p = B(0, 0) where nbhd has none, in integers.
-    Constraints independent of r are checked once up front.
+    The scan is lazy: each (denominator, sign) pair is one stream, a heap
+    entry (height, n, d, negative, last, tests) keyed in search order
+    (height, numerator, denominator, + before -) and advanced in place to
+    its next numerator prime to d, so a candidate is built only when every
+    candidate before it has failed.  Denominators arrive in ascending
+    order, and the streams over d join the heap only once every queued
+    candidate of height below d has failed: each of their candidates has
+    height max(n, d) >= d, so a search that ends at height h never
+    generates a denominator, or opens a stream, above h.  The real
+    interval, its ends kept as unreduced integer pairs, clips a stream's
+    numerators to n..last by floor division; a stream opens only when
+    that range is non-empty, and a sign whose clip ends at or below 0
+    opens none.  A stream's first n may share a factor with d, but n / d
+    then equals an earlier candidate, which failed, so no answer changes.
+    Membership never builds r * a: ``tests`` holds the places whose
+    modulus over d exceeds 1, each a ball, Z_p = B(0, 0) where nbhd has
+    none, computed once per denominator when one of its streams opens and
+    tested in integers.  Constraints independent of r are checked once up
+    front.
+
+    A candidate tested costs one step and a denominator drawn four, and
+    past _SEARCH_STEPS steps the search raises WorkBoundExceeded: a
+    search that cannot succeed ends however large its height bound.
     """
     full = _check_kind(a, nbhd)
 
     # A ball admits r = m / d iff p ** (radius + v_p(B*D) + v_p(d)), when > 1,
     # divides m*A*D - d*B*C, the numerator of r * a_p - C / D over d*B*D, for
-    # a_p = A / B and centre C / D; gcd(d, p ** bits) is p ** v_p(d).  Off the
-    # listed places no candidate has a denominator and a_p is integral.  Where p
-    # has no ball and v_p(a_p) <= 0, r * a_p in Z_p keeps p out of r's denominator.
-    primes = [p for p in _allowed_denominator_primes(a, budget)
-              if p in nbhd.balls or valuation(a.component(p), p) > 0]
-    bound, places = budget.height_bound, []
-    bits = bound.bit_length()
-    for p in sorted(nbhd.balls.keys() | a.explicit.keys() | set(primes)):
-        ball = nbhd.balls.get(p)
-        centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
+    # a_p = A / B and centre C / D; gcd(d, p ** b) is p ** v_p(d) once p ** b > bound.
+    # Off the listed places no candidate has a denominator and a_p is integral.  An
+    # allowed p enters r's denominator only with a ball or with p | A (A = 0 too):
+    # otherwise r * a_p in Z_p = B(0, 0) keeps it out.
+    allowed, bound, primes, places = set(_allowed_denominator_primes(a, budget)), budget.height_bound, [], []
+    for p in sorted(nbhd.balls.keys() | a.explicit.keys() | allowed):
+        centre, radius = (ball.center, ball.radius_exponent) if (ball := nbhd.balls.get(p)) else (0, 0)
         (A, B), (C, D) = a.component(p).as_integer_ratio(), centre.as_integer_ratio()
+        if p in allowed and (ball or A % p == 0):
+            primes.append(p)
         k = radius + valuation(B * D, p)
         if A:
-            places.append((p ** bits, p ** max(k, 0), p ** max(-k, 0), A * D, B * C))
+            places.append((p ** bound.bit_length(), p ** max(k, 0), p ** max(-k, 0), A * D, B * C))
         elif C % p ** max(k, 0):  # a vanishing coordinate never moves
             return None
     if full and a.real_part == 0 and not nbhd.real_interval[0] < 0 < nbhd.real_interval[1]:
         return None
 
-    clips = []
-    for sign in (1, -1) if full else (1,):
-        # r * a_oo in (lo, hi) puts n / d in (x, y), so n in (x * d, y * d)
-        ends = (0, bound + 1)  # clips nothing
-        if full and a.real_part != 0:
-            ends = sorted(end / (sign * a.real_part) for end in nbhd.real_interval)
-        clips.append((sign < 0, *ends[0].as_integer_ratio(), *ends[1].as_integer_ratio()))
-    heap = []  # (key, stream), keys (height, n, d, negative) in search order
-
-    def push(stream):
-        key = next(stream, None)
-        if key is not None:
-            heapq.heappush(heap, (key, stream))
-
-    for d in chain(_smooth_denominators(primes, bound, budget.precision), [bound + 1]):
-        # a candidate over d has height max(n, d) >= d: test every lower one first
-        while heap and heap[0][0][0] < d:
-            (_, n, dn, negative), stream = heapq.heappop(heap)
-            m = -n if negative else n
-            if not any((m * ad - dn * bc) % max(1, gcd(dn, big) * up // down) for big, up, down, ad, bc in places):
+    # lo < r * a_oo < hi puts r * |a_oo| in (lo, hi): n / d lies in (x, y) when r
+    # has a_oo's sign and in (-y, -x) when not, and an upper end <= 0 holds no n
+    (xn, xd), (yn, yd), flip = (-bound - 1, 1), (bound + 1, 1), full and a.real_part < 0  # clips nothing
+    if full and a.real_part:
+        wn, wd = abs(a.real_part).as_integer_ratio()
+        (xn, xd), (yn, yd) = ((en * wd, ed * wn) for en, ed in map(Fraction.as_integer_ratio, nbhd.real_interval))
+    clips = [c for c in [(flip, xn, xd, yn, yd), (not flip, -yn, yd, -xn, xd)][:1 + full] if c[3] > 0]
+    heap, steps = [], _SEARCH_STEPS  # streams (height, n, d, negative, last, tests), keyed in search order
+    d = next(denominators := _smooth_denominators(primes, bound, budget.precision))
+    while steps > 0:  # a candidate costs one step, a denominator four
+        if heap and heap[0][0] < d:  # a candidate over d has height max(n, d) >= d: test every lower one first
+            _, n, dn, negative, last, tests = heap[0]
+            m, n, steps = -n if negative else n, n + 1, steps - 1
+            for mod, ad, dbc in tests:
+                if (m * ad - dbc) % mod:
+                    break
+            else:
                 return Fraction(m, dn)
-            push(stream)
-        if d > bound:  # the sentinel: every candidate has failed
-            break
-        for negative, xn, xd, yn, yd in clips:
-            push(_reduced_fractions(d, negative, max(1, xn * d // xd + 1), min(bound, -(-yn * d // yd) - 1)))
-    return None
-
-
-def _reduced_fractions(d: int, negative: bool, first: int, last: int) -> Iterator[tuple]:
-    """The reduced n / d with first <= n <= last, keyed in search order."""
-    for n in range(first, last + 1):
-        if gcd(n, d) == 1:
-            yield (max(n, d), n, d, negative)
+            while gcd(n, dn) > 1:
+                n += 1
+            heapq.heapreplace(heap, (max(n, dn), n, dn, negative, last, tests)) if n <= last else heapq.heappop(heap)
+        elif d > bound:  # every candidate has failed
+            return None
+        else:  # open each sign's stream over d unless its clip holds no numerator
+            tests = None  # the places whose modulus over d exceeds 1, built when a stream opens
+            for negative, xn, xd, yn, yd in clips:
+                n, last = max(1, xn * d // xd + 1), min(bound, -(-yn * d // yd) - 1)
+                if n <= last:  # an unreduced n / d is an earlier candidate, which failed
+                    tests = tests if tests is not None else [
+                        (mod, ad, d * bc) for big, up, down, ad, bc in places if (mod := gcd(d, big) * up // down) > 1]
+                    heapq.heappush(heap, (max(n, d), n, d, negative, last, tests))
+            d, steps = next(denominators, bound + 1), steps - 4
+    raise WorkBoundExceeded(f"the witness search exceeds the bound of {_SEARCH_STEPS} steps")
 
 
 def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSet]:

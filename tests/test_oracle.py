@@ -1,7 +1,10 @@
+import heapq
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -327,6 +330,120 @@ class TestMembershipPlaces:
         assert witness_by_search(a, nbhd, SearchBudget(height)) == expected
 
 
+def reduced_fractions(d, negative, first, last):
+    """The reduced n / d with first <= n <= last, keyed in search order."""
+    for n in range(first, last + 1):
+        if gcd(n, d) == 1:
+            yield (max(n, d), n, d, negative)
+
+
+def generator_scan(a, nbhd, budget):
+    """The reference: the scan as it was before its streams became heap
+    entries.  Each (denominator, sign) pair is a generator of reduced
+    fractions clipped to the real interval by Fraction division, pulled
+    into one heap, and each candidate recomputes the modulus at every
+    place, the places read in two passes.  The denominators come from
+    oracle._smooth_denominators, which TestLazyAdmission checks against
+    sorted_smooth."""
+    full = isinstance(a, FullAdele)
+    primes = [p for p in _allowed_denominator_primes(a, budget)
+              if p in nbhd.balls or valuation(a.component(p), p) > 0]
+    bound, places = budget.height_bound, []
+    bits = bound.bit_length()
+    for p in sorted(nbhd.balls.keys() | a.explicit.keys() | set(primes)):
+        ball = nbhd.balls.get(p)
+        centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)
+        (A, B), (C, D) = a.component(p).as_integer_ratio(), centre.as_integer_ratio()
+        k = radius + valuation(B * D, p)
+        if A:
+            places.append((p ** bits, p ** max(k, 0), p ** max(-k, 0), A * D, B * C))
+        elif C % p ** max(k, 0):
+            return None
+    if full and a.real_part == 0 and not nbhd.real_interval[0] < 0 < nbhd.real_interval[1]:
+        return None
+
+    clips = []
+    for sign in (1, -1) if full else (1,):
+        ends = (0, bound + 1)
+        if full and a.real_part != 0:
+            ends = sorted(end / (sign * a.real_part) for end in nbhd.real_interval)
+        clips.append((sign < 0, *ends[0].as_integer_ratio(), *ends[1].as_integer_ratio()))
+    heap = []
+
+    def push(stream):
+        key = next(stream, None)
+        if key is not None:
+            heapq.heappush(heap, (key, stream))
+
+    for d in chain(oracle._smooth_denominators(primes, bound, budget.precision), [bound + 1]):
+        while heap and heap[0][0][0] < d:
+            (_, n, dn, negative), stream = heapq.heappop(heap)
+            m = -n if negative else n
+            if not any((m * ad - dn * bc) % max(1, gcd(dn, big) * up // down) for big, up, down, ad, bc in places):
+                return Fraction(m, dn)
+            push(stream)
+        if d > bound:
+            break
+        for negative, xn, xd, yn, yd in clips:
+            push(reduced_fractions(d, negative, max(1, xn * d // xd + 1), min(bound, -(-yn * d // yd) - 1)))
+    return None
+
+
+SMALL_VALUES = [F(1), F(2), F(3), F(5), F(6), F(-1), F(1, 7)]
+
+
+@st.composite
+def bench_sized_instances(draw):
+    """An instance of one of the crosscheck shapes: a finite adele, Case I
+    (an explicit zero), Case II (a times_p default), a closed orbit (a unit
+    idele) or a closed miss.  Balls at one or two of 2, 3, 5 are centred
+    on r0 * a_p for a planted r0 of height <= 12; the real part is zero
+    (Cases I and II) or of either sign, and the interval lies around
+    r0 * a_oo, at or below 0, or across 0."""
+    shape = draw(st.sampled_from(["finite", "case I", "case II", "closed", "closed miss"]))
+    if shape == "closed miss":
+        return draw(closed_miss_instances())[:2]
+    ball_primes = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=2, unique=True))
+    if shape == "closed":
+        units = draw(st.dictionaries(st.sampled_from(PLACES), st.sampled_from(UNITS), max_size=2))
+        fin = finite({p: x for p, x in units.items() if valuation(x, p) == 0}, DefaultSpec.rational(1))
+    elif shape == "case II":
+        fin = finite({}, DefaultSpec.times_p(draw(st.sampled_from([1, -1, 2]))))
+    else:
+        explicit = draw(st.dictionaries(st.sampled_from([2, 3, 5]), st.sampled_from(SMALL_VALUES), max_size=2))
+        if shape == "case I" or draw(st.booleans()):
+            explicit[draw(st.sampled_from([2, 3, 5, 7]))] = F(0)
+        fin = finite(explicit, DefaultSpec.rational(1))
+    r0 = F(draw(st.integers(1, 12)), draw(st.sampled_from(ball_primes)) ** draw(st.integers(0, 1)))
+    balls = {p: PadicBall(p, fin.component(p) * r0, draw(st.integers(1, 3))) for p in ball_primes}
+    if shape == "finite":
+        return fin, Neighbourhood(balls)
+    r0 *= draw(st.sampled_from([1, -1]))
+    real = draw(st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(11), F(-25, 3)] + [F(0)] * (shape != "closed")))
+    width = draw(st.sampled_from([F(1, 128), F(1, 64), F(1, 8), F(1)]))
+    place = draw(st.sampled_from(["around r0", "at or below 0", "across 0"]))
+    if place == "around r0":
+        lo = r0 * real - width * F(draw(st.integers(1, 7)), 8)
+    elif place == "at or below 0":
+        lo = -F(draw(st.integers(0, 8)), 8) - width
+    else:
+        lo = -width * F(draw(st.integers(1, 7)), 8)
+    return FullAdele(fin, real), Neighbourhood(balls, real_interval=(lo, lo + width))
+
+
+class TestBenchSizedBudgets:
+    """The scan against the generator scan it replaced, at the benchmark's
+    height bound 10**4: past the reach of first_member_by_height."""
+
+    @pytest.mark.parametrize("precision", [3, 13])
+    @settings(deadline=None)
+    @given(instance=bench_sized_instances())
+    def test_agrees_with_the_generator_scan(self, precision, instance):
+        a, nbhd = instance
+        budget = SearchBudget(10**4, precision=precision)
+        assert witness_by_search(a, nbhd, budget) == generator_scan(a, nbhd, budget)
+
+
 def sorted_smooth(primes, bound, max_exp):
     """The reference: every product of the primes, each to at most
     max_exp, up to the bound, built prime by prime and then sorted."""
@@ -358,21 +475,45 @@ class TestLazyAdmission:
         with deadline(1):
             assert witness_by_search(embed_rational(1, kind="full"), nbhd, SearchBudget(10**5)) is None
 
+    @staticmethod
+    def record_streams(monkeypatch):
+        """The (d, negative) of every stream the search opens.  A stream opens
+        as a heap entry (height, n, d, negative, last, tests) pushed with
+        heappush; it advances by heapreplace, and the smooth denominators'
+        own heap holds triples."""
+        opened = []
+
+        def heappush(heap, entry):
+            if len(entry) == 6:
+                opened.append(entry[2:4])
+            heapq.heappush(heap, entry)
+
+        shim = SimpleNamespace(heappush=heappush, heappop=heapq.heappop, heapreplace=heapq.heapreplace)
+        monkeypatch.setattr(oracle, "heapq", shim)
+        return opened
+
     @pytest.mark.parametrize("budget", [SearchBudget(100), SearchBudget(10**60, precision=200)])
     def test_opens_no_stream_above_the_answer(self, budget, monkeypatch, deadline):
         a, nbhd = self.SPEC
-        opened, original = [], oracle._reduced_fractions
-
-        def recording(d, *args):
-            opened.append(d)
-            return original(d, *args)
-
-        monkeypatch.setattr(oracle, "_reduced_fractions", recording)
+        streams = self.record_streams(monkeypatch)
         with deadline(1):
             assert witness_by_search(a, nbhd, budget) == 16
+        opened = [d for d, _ in streams]
         # one stream per admissible denominator up to the answer's height 16; off
         # the balls at 2 and 3 every component is a unit, so no other prime enters
         assert opened == sorted_smooth([2, 3], 16, budget.precision)
+
+    @pytest.mark.parametrize("real, answer", [(1, 16), (-1, -8)])  # -8 = 1 - 9 lies in B(1, 1) at 3
+    @pytest.mark.parametrize("budget", [SearchBudget(100), SearchBudget(10**60, precision=200)])
+    def test_a_one_sided_interval_opens_no_stream_of_the_other_sign(self, real, answer, budget, monkeypatch, deadline):
+        # r * real in (0, 100) holds only r of real's sign, so only that sign's
+        # streams open: one per admissible denominator up to the answer's height
+        a = FullAdele(embed_rational(1), F(real))
+        nbhd = Neighbourhood(self.SPEC[1].balls, real_interval=(F(0), F(100)))
+        opened = self.record_streams(monkeypatch)
+        with deadline(1):
+            assert witness_by_search(a, nbhd, budget) == answer
+        assert opened == [(d, real < 0) for d in sorted_smooth([2, 3], abs(answer), budget.precision)]
 
     @pytest.mark.parametrize("primes", [[], [2], [3], [2, 3], [5, 7, 17], [2, 3, 5, 7, 11, 13]])
     @pytest.mark.parametrize("max_exp", [1, 2, 3, 7])
@@ -381,6 +522,45 @@ class TestLazyAdmission:
         for bound in [1, 2, 7, 12, 16, 36, 100, 360, 1000, 1001, 10**4]:
             expected = sorted_smooth(primes, bound, max_exp)
             assert list(oracle._smooth_denominators(primes, bound, max_exp)) == expected
+
+
+class TestSearchBound:
+    """A search that cannot succeed under a huge height bound refuses once
+    its candidates and denominators spend _SEARCH_STEPS, with the code
+    work_bound_exceeded."""
+
+    # every member needs v_2(r) = -10, and precision 1 admits 2 only once
+    ADELE, NBHD = embed_rational(1), Neighbourhood({2: PadicBall(2, F(1, 1024), 20)})
+    DETAIL = f"the witness search exceeds the bound of {oracle._SEARCH_STEPS} steps"
+
+    def test_fruitless_candidates_in_process(self, deadline):
+        with deadline(1), pytest.raises(WorkBoundExceeded) as info:
+            witness_by_search(self.ADELE, self.NBHD, SearchBudget(10**12, precision=1))
+        assert info.value.code == "work_bound_exceeded" and str(info.value) == self.DETAIL
+
+    def test_fruitless_candidates_through_the_cli(self, deadline, capsys):
+        adele = json.dumps({"explicit": {}, "default": {"kind": "rational", "q": "1"}})
+        nbhd = json.dumps({"balls": {"2": {"center": "1/1024", "radius_exponent": 20}}})
+        argv = ["oracle-witness", "--adele", adele, "--nbhd", nbhd, "--height-bound", str(10**12), "--precision", "1"]
+        with deadline(1):
+            code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 2 and out.count("\n") == 1
+        assert json.loads(out) == {"error": {"code": "work_bound_exceeded", "detail": self.DETAIL}}
+
+    def test_denominators_that_open_no_stream_count(self, deadline):
+        # (0, 10**-30) holds no n / d below d = 10**30, so the denominators
+        # before it open nothing: they alone spend the bound
+        nbhd = Neighbourhood({p: PadicBall(p, F(0), -200) for p in (2, 3, 5, 7, 11, 13)},
+                             real_interval=(F(0), F(1, 10**30)))
+        with deadline(1), pytest.raises(WorkBoundExceeded, match=self.DETAIL):
+            witness_by_search(embed_rational(1, kind="full"), nbhd, SearchBudget(10**60, precision=200))
+
+    def test_a_search_inside_the_bound_still_ends_in_none(self, deadline):
+        # the same search under a height bound of 2**11: 2, the one prime with
+        # a ball, admits the denominators 1 and 2, whose streams end in time
+        with deadline(1):
+            assert witness_by_search(self.ADELE, self.NBHD, SearchBudget(2**11, precision=1)) is None
 
 
 class TestOracleAgainstConstruction:

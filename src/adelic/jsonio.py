@@ -98,15 +98,9 @@ def _require_keys(doc: Dict, required, optional=()):
         raise ValueError(f"missing keys {sorted(missing)}")
 
 
-def _require_object(value: Any, what: str) -> Dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _require_list(value: Any, what: str) -> List:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+def _require(value: Any, type_: type, what: str):
+    if not isinstance(value, type_):
+        raise ValueError(f"{what} must be a JSON {'object' if type_ is dict else 'list'}, got {type(value).__name__}")
     return value
 
 
@@ -143,7 +137,7 @@ def dump_default(d: DefaultSpec) -> Dict:
 
 def parse_adele(doc: Dict) -> Adele:
     _require_keys(doc, ["explicit", "default"], ["real"])
-    explicit = _require_object(doc["explicit"], "explicit")
+    explicit = _require(doc["explicit"], dict, "explicit")
     explicit = {parse_prime(k): parse_rational(v) for k, v in explicit.items()}
     fin = FiniteAdele(explicit, parse_default(doc["default"]))
     if "real" in doc:
@@ -180,7 +174,7 @@ def _parse_base(name: Any) -> str:
 def parse_prime_set(doc: Dict) -> PrimeSet:
     _require_keys(doc, ["base", "kind", "members"])
     base = _parse_base(doc["base"])
-    members = frozenset(parse_place(m) for m in _require_list(doc["members"], "members"))
+    members = frozenset(parse_place(m) for m in _require(doc["members"], list, "members"))
     return PrimeSet(base, doc["kind"], members)
 
 
@@ -195,7 +189,7 @@ def dump_prime_set(s: PrimeSet) -> Dict:
 def parse_neighbourhood(doc: Dict) -> Neighbourhood:
     _require_keys(doc, ["balls"], ["real_interval"])
     balls = {}
-    for key, ball_doc in _require_object(doc["balls"], "balls").items():
+    for key, ball_doc in _require(doc["balls"], dict, "balls").items():
         p = parse_prime(key)
         _require_keys(ball_doc, ["center", "radius_exponent"])
         balls[p] = PadicBall(p, parse_rational(ball_doc["center"]), ball_doc["radius_exponent"])
@@ -245,7 +239,7 @@ def dump_parameter_point(pt: ParameterPoint) -> Dict:
 
 def parse_character(doc: Dict) -> Character:
     _require_keys(doc, ["group"], ["sign_angle", "prime_angles"])
-    angles = _require_object(doc.get("prime_angles", {}), "prime_angles")
+    angles = _require(doc.get("prime_angles", {}), dict, "prime_angles")
     angles = {parse_prime(k): parse_rational(v) for k, v in angles.items()}
     sign = parse_rational(doc.get("sign_angle", "0"))
     return Character(doc["group"], angles, sign)
@@ -267,7 +261,7 @@ def dump_character(c: Character) -> Dict:
 def parse_descriptor(doc: Dict) -> SetDescriptor:
     _require_keys(doc, ["atoms"])
     atoms = []
-    for atom_doc in _require_list(doc["atoms"], "atoms"):
+    for atom_doc in _require(doc["atoms"], list, "atoms"):
         if not isinstance(atom_doc, dict) or "kind" not in atom_doc:
             raise ValueError("each atom needs a kind")
         atoms.append(_read_kind(atom_doc, _ATOM_KINDS, "atom"))
@@ -275,7 +269,7 @@ def parse_descriptor(doc: Dict) -> SetDescriptor:
 
 
 def _unit_family(doc: Dict) -> UnitFamily:
-    prefix = tuple(parse_unit_idele(u) for u in _require_list(doc["prefix"], "prefix"))
+    prefix = tuple(parse_unit_idele(u) for u in _require(doc["prefix"], list, "prefix"))
     if not isinstance(doc["inf_abs_zero"], bool):
         raise ValueError("inf_abs_zero must be a boolean")
     return UnitFamily(prefix, doc["inf_abs_zero"])
@@ -285,7 +279,7 @@ _ATOM_KINDS = {
     "prime_set_point": (["set"], [], lambda doc: PrimeSetPoint(parse_prime_set(doc["set"]))),
     "singleton_family": (["excluded"], ["base"], lambda doc: SingletonFamily(
         base=_parse_base(doc.get("base", "extended")),  # keywords are read in order: the base first
-        excluded=frozenset(parse_place(p) for p in _require_list(doc["excluded"], "excluded")))),
+        excluded=frozenset(parse_place(p) for p in _require(doc["excluded"], list, "excluded")))),
     "unit_point": (["unit"], [], lambda doc: UnitPoint(parse_unit_idele(doc["unit"]))),
     "unit_family": (["prefix", "inf_abs_zero"], [], _unit_family),
     "character_point": (["character"], [], lambda doc: CharacterPoint(parse_character(doc["character"]))),

@@ -25,14 +25,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import combinations, takewhile
 from math import gcd
 from typing import Iterable, Iterator, List, Optional
 
-from .adele import EXTENDED_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO
+from .adele import EXTENDED_PRIMES, FINITE_PRIMES, Adele, Neighbourhood, PrimeSet, TIMES_P, ZERO
 from .adele import _check_kind, _default_primes
 from .errors import WorkBoundExceeded
-from .padic import Prime, _require_int, valuation
+from .padic import INFINITY, Prime, _require_int, valuation
 
 DEFAULT_WINDOW = frozenset(Prime(p) for p in (2, 3, 5, 7, 11, 13))
 _SEARCH_STEPS = 2**18  # witness_by_search's steps, a candidate one and a denominator four; past them, WorkBoundExceeded
@@ -188,7 +188,9 @@ def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSe
     supersets-within-window and validates the up-set closure formulas.
     The window is a set of places, so a repeated place counts once.
     The work is 4**n for n places, so a window of more than 10 places
-    raises WorkBoundExceeded before any of it is done.
+    raises WorkBoundExceeded before any of it is done.  A window holding
+    inf has supersets of every point that hold inf, so points over the
+    finite primes raise ValueError there, also before any work.
     """
     window = PrimeSet.finite(window, EXTENDED_PRIMES).members
     if len(window) > 10:
@@ -201,25 +203,12 @@ def window_closure(points: Iterable[PrimeSet], window: Iterable) -> List[PrimeSe
             raise ValueError(f"point {s} strays outside the window")
         if s.base != pts[0].base:
             raise ValueError("points must share a base")
+    if pts and pts[0].base == FINITE_PRIMES and INFINITY in window:
+        raise ValueError("a window holding inf needs points over the extended primes")
     if not pts:
         return []
-
-    def subsets(universe):
-        out = [frozenset()]
-        for x in universe:
-            out.extend(frozenset(s | {x}) for s in list(out))
-        return out
-
-    member_sets = [s.members for s in pts]
-    closure = []
-    for t in subsets(window):
-        keep = True
-        for g in subsets(window):
-            if t & g:
-                continue  # U_g does not contain t
-            if not any(not (m & g) for m in member_sets):
-                keep = False
-                break
-        if keep:
-            closure.append(PrimeSet.finite(t, base=pts[0].base))
+    subsets = [frozenset(c) for k in range(len(window) + 1) for c in combinations(window, k)]
+    # T stays when every U_G holding T, that is every G missing T, meets a point
+    closure = [PrimeSet.finite(t, base=pts[0].base) for t in subsets
+               if all(any(s.members.isdisjoint(g) for s in pts) for g in subsets if t.isdisjoint(g))]
     return sorted(closure, key=lambda s: s.sort_key())

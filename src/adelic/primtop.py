@@ -73,11 +73,7 @@ class Character:
         object.__setattr__(self, "prime_angles", tuple(sorted(angles.items())))
 
     def angle_at(self, p) -> Fraction:
-        p = Prime(p)
-        for q, angle in self.prime_angles:
-            if q == p:
-                return angle
-        return Fraction(0)
+        return dict(self.prime_angles).get(Prime(p), Fraction(0))
 
     def sort_key(self):
         return (
@@ -325,7 +321,9 @@ _GROUP_NAMES = {Q_PLUS: "positive rationals", Q_FULL: "full rational group"}
 
 def _parts(data: _DescriptorInput):
     """Split input into prime sets (each standing for its up-set), unit
-    points, unit families, characters and the all-characters flag."""
+    points, unit families, characters and the all-characters flag.  The
+    unit points end with the prefixes of the unit families, in order, so an
+    unflagged family stands for its prefix wherever the parts are read."""
     if isinstance(data, ClosedSetDescriptor):
         return (
             list(data.up_sets),
@@ -357,6 +355,8 @@ def _parts(data: _DescriptorInput):
             all_chars = True
         else:
             raise MalformedDescriptor(f"not a descriptor atom: {atom!r}")
+    for f in unit_families:
+        units += f.prefix
     return up, units, unit_families, characters, all_chars
 
 
@@ -388,8 +388,6 @@ def _close(space: _Space, data: _DescriptorInput) -> ClosedSetDescriptor:
     if space.units or space.group:  # else the up-set of the empty set is the whole space
         if any(s.is_empty for s in up) or any(f.inf_abs_zero for f in unit_families):
             return WHOLE_SPACE
-    for f in unit_families:
-        units.extend(f.prefix)
     return ClosedSetDescriptor(
         up_sets=tuple(up),
         unit_points=tuple(units),
@@ -433,7 +431,6 @@ def closed_contains_atom(closed: ClosedSetDescriptor, atom: Atom) -> bool:
     up, units, unit_families, characters, all_chars = _parts(SetDescriptor.of(atom))
     if any(f.inf_abs_zero for f in unit_families):
         return False  # only the whole space swallows an accumulating family
-    units += [u for f in unit_families for u in f.prefix]
     # the power-cofinite space admits both bases; up-sets hold prime sets
     # of their own base only
     return (

@@ -252,7 +252,7 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     modulus = math.prod(m for _, m in congruences)
 
     # denominator growth for real-interval control (dense full case only)
-    tail_factor, tail_primes, drawn = 1, None, []
+    tail_factor, tail_primes, drawn, threshold = 1, None, [], -1  # -1: nothing grows
     if full and real != 0 and not closed:
         # floor(|a_oo| * modulus / ((hi - lo) * core)): exact against the integer tail_factor
         threshold = abs(real.numerator) * hi.denominator * lo.denominator * modulus // (
@@ -267,24 +267,24 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
             tail_factor = p ** max(0, int(threshold.bit_length() / math.log2(p)) - 2)
         else:  # Case II: nothing vanishes, so the default is TIMES_P
             tail_primes = _default_primes(a, skip=frozenset(nbhd.balls))
-        while tail_factor <= threshold:
-            drawn.append(next(tail_primes))
-            tail_factor *= drawn[-1]
 
-    # The tail growth made the open numerator range longer than the
-    # modulus, so it holds a progression term and only a lone 0 can be
-    # rejected.  A refinement multiplies the range by a prime >= 2, so it
-    # then holds two terms, at most one of them 0: this runs at most twice.
-    # A closed orbit's denominator is fixed, so one pass decides it.
+    # The tail grows past the threshold before any pick.  That makes the
+    # open numerator range longer than the modulus, so it holds a
+    # progression term and only a lone 0 can be rejected.  A refinement
+    # draws one more tail prime, which multiplies the range by a prime >= 2,
+    # so it then holds two terms, at most one of them 0: past the threshold
+    # at most two picks are made.  A closed orbit's denominator is fixed
+    # and nothing grows, so one pick decides it.
     while True:
-        denominator = denominator_core * tail_factor
-        # n * u_oo / denominator lies in (lo, hi): n lies between lo and hi times denominator / u_oo
-        bounds = [(b.numerator * denominator * u_den, b.denominator * u_num) for b in (lo, hi)] if full and real else None
-        numerator = _pick_numerator(base * tail_factor % modulus, modulus, bounds)
-        if numerator is not None:
-            break
-        if closed:
-            raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
+        if tail_factor > threshold:
+            denominator = denominator_core * tail_factor
+            # n * u_oo / denominator lies in (lo, hi): n lies between lo and hi times denominator / u_oo
+            bounds = [(b.numerator * denominator * u_den, b.denominator * u_num) for b in (lo, hi)] if full and real else None
+            numerator = _pick_numerator(base * tail_factor % modulus, modulus, bounds)
+            if numerator is not None:
+                break
+            if closed:
+                raise ClosedOrbitMiss("the closed orbit misses the neighbourhood")
         drawn.append(next(tail_primes))
         tail_factor *= drawn[-1]
     r = Fraction(numerator * r0.denominator, denominator * r0.numerator)  # t / r0, or n / D when r0 = 1

@@ -2,7 +2,7 @@ import heapq
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 from types import SimpleNamespace
 
@@ -644,6 +644,102 @@ class TestWindowClosure:
         with pytest.raises(ValueError):
             window_closure([PrimeSet.finite({2}), PrimeSet.finite({2}, base=EXTENDED_PRIMES)], {2})
 
+    INF_DETAIL = "a window holding inf needs points over the extended primes"
+
+    def test_finite_points_refuse_inf_in_the_window(self, deadline):
+        # every point has a superset holding inf, which no finite-base set
+        # is: refused with the point checks, before the 4**n scan
+        ten = [p for p in range(2, 24) if is_prime(p)] + [INFINITY]
+        assert len(ten) == 10
+        with deadline(1), pytest.raises(ValueError) as info:
+            window_closure([PrimeSet.finite({2})], ten)
+        assert str(info.value) == self.INF_DETAIL
+        # a stray point is still the first complaint, and no points still answer
+        with pytest.raises(ValueError, match="strays outside the window"):
+            window_closure([PrimeSet.finite({5})], [2, INFINITY])
+        assert window_closure([], [2, INFINITY]) == []
+
+    def test_finite_points_refuse_inf_through_the_cli(self, capsys):
+        points = json.dumps([{"base": "finite", "kind": "finite", "members": ["2"]}])
+        code = cli.main(["oracle-window", "--points", points, "--window", "2,inf"])
+        out = capsys.readouterr().out
+        assert code == 1 and out.count("\n") == 1
+        assert json.loads(out) == {"error": {"code": "invalid_input", "detail": self.INF_DETAIL}}
+
+
+def _reference_window_closure(points, window):
+    """The window oracle as an explicit loop, the reference of the
+    differential below: a hand-built power set, rebuilt for every
+    candidate T, and a keep flag that the first U_G missing the points
+    clears.  Past its point checks a finite-base window holding inf fails
+    only when it builds the answer."""
+    window = PrimeSet.finite(window, EXTENDED_PRIMES).members
+    if len(window) > 10:
+        raise WorkBoundExceeded(f"a window of {len(window)} places exceeds the bound of 10")
+    pts = list(points)
+    for s in pts:
+        if s.kind != "finite":
+            raise ValueError("the window oracle takes finite prime sets")
+        if not s.members <= window:
+            raise ValueError(f"point {s} strays outside the window")
+        if s.base != pts[0].base:
+            raise ValueError("points must share a base")
+    if not pts:
+        return []
+
+    def subsets(universe):
+        out = [frozenset()]
+        for x in universe:
+            out.extend(frozenset(s | {x}) for s in list(out))
+        return out
+
+    member_sets = [s.members for s in pts]
+    closure = []
+    for t in subsets(window):
+        keep = True
+        for g in subsets(window):
+            if t & g:
+                continue  # U_g does not contain t
+            if not any(not (m & g) for m in member_sets):
+                keep = False
+                break
+        if keep:
+            closure.append(PrimeSet.finite(t, base=pts[0].base))
+    return sorted(closure, key=lambda s: s.sort_key())
+
+
+_WINDOW_PLACES = [Prime(p) for p in (2, 3, 5, 7, 11, 13)] + [INFINITY]
+
+
+@st.composite
+def _window_point(draw, window):
+    base = draw(st.sampled_from([adele.FINITE_PRIMES, EXTENDED_PRIMES]))
+    kind = draw(st.sampled_from(["finite", "cofinite"]))
+    places = window + [Prime(17)]  # 17 strays outside every window
+    if base == adele.FINITE_PRIMES:
+        places = [p for p in places if p is not INFINITY]
+    return PrimeSet(base, kind, frozenset(draw(st.lists(st.sampled_from(places), max_size=3))))
+
+
+class TestWindowClosureDifferential:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_the_reference_loop(self, data):
+        window = data.draw(st.lists(st.sampled_from(_WINDOW_PLACES), max_size=6))
+        points = data.draw(st.lists(_window_point(window), max_size=3))
+
+        def outcome(f):
+            try:
+                return f(points, window)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        expected, got = outcome(_reference_window_closure), outcome(window_closure)
+        if expected == (ValueError, "INFINITY only belongs to the extended primes"):
+            # the reference fails building its answer; the oracle refuses up front
+            expected = (ValueError, TestWindowClosure.INF_DETAIL)
+        assert got == expected
+
 
 class TestWindowBound:
     """The window oracle does 4**n work for n places, so past 10 places it
@@ -675,3 +771,26 @@ class TestWindowBound:
             window_closure([PrimeSet.finite({self.TWENTY[10]})], ten)
         with deadline(1), pytest.raises(WorkBoundExceeded):
             window_closure([PrimeSet.finite({2})], self.TWENTY[:11])
+
+    def up_set(self, points, window):
+        """{T inside the window : some point inside T}, the closure formula."""
+        subsets = (frozenset(c) for k in range(len(window) + 1) for c in combinations(window, k))
+        return {t for t in subsets if any(s.members <= t for s in points)}
+
+    def test_ten_places_answer_in_process(self, deadline):
+        ten, points = self.TWENTY[:10], [PrimeSet.finite({2}), PrimeSet.finite({3, 29})]
+        with deadline(1):
+            result = window_closure(points, ten)
+        assert [s.members for s in result] == sorted(self.up_set(points, ten), key=lambda t: PrimeSet.finite(t).sort_key())
+        assert len(result) == 512 + 128
+
+    def test_ten_places_answer_through_the_cli(self, deadline, capsys):
+        ten, points = self.TWENTY[:10], [PrimeSet.finite({2}), PrimeSet.finite({3, 29})]
+        doc = json.dumps([{"base": "finite", "kind": "finite", "members": ["2"]},
+                          {"base": "finite", "kind": "finite", "members": ["3", "29"]}])
+        with deadline(1):
+            code = cli.main(["oracle-window", "--points", doc, "--window", ",".join(map(str, ten))])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert {frozenset(Prime(int(p)) for p in s["members"]) for s in out["closure"]} == self.up_set(points, ten)
+        assert len(out["closure"]) == 512 + 128

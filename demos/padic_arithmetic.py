@@ -6,7 +6,7 @@ Everything is computed with exact rationals; nothing here is floating point.
 
 from fractions import Fraction
 
-from adelic import PadicBall, ball_contains, crt_solve, expand, integer_in_ball, valuation
+from adelic import PadicBall, crt_solve, expand, integer_in_ball, valuation
 
 F = Fraction
 
@@ -26,7 +26,7 @@ print()
 print("== balls are decidable ==")
 ball = PadicBall(2, F(0), 3)
 for x in (16, 4, F(8, 5)):
-    print(f"  |{x}|_2 <= 2^-3 ?", ball_contains(ball, x))
+    print(f"  |{x}|_2 <= 2^-3 ?", ball.contains(x))
 
 print()
 print("== the smallest integer in a ball ==")

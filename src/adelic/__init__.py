@@ -49,11 +49,9 @@ from .oracle import SearchBudget, window_closure, witness_by_search
 from .padic import (
     INFINITE_VALUATION,
     INFINITY,
-    ExtendedPrime,
     PadicBall,
     Prime,
     TruncatedPadic,
-    ball_contains,
     crt_solve,
     expand,
     integer_in_ball,
@@ -77,9 +75,7 @@ from .primtop import (
     WHOLE_SPACE,
     character_eval,
     closed_contains_atom,
-    pc_basic_open,
     pc_closure,
-    pc_dense,
     point_specializes,
     prim_equal,
     prim_full_closure,

@@ -288,6 +288,8 @@ class PrimeSet:
         return cls(base, "cofinite", frozenset(excluded))
 
     def contains(self, p) -> bool:
+        if is_infinite_place(p) and self.base != EXTENDED_PRIMES:
+            return False  # the constructor admits INFINITY only over the extended primes
         p = p if is_infinite_place(p) else Prime(p)
         if self.kind == "finite":
             return p in self.members
@@ -312,13 +314,6 @@ class PrimeSet:
         if other.kind == "finite":
             return False
         return other.members <= self.members
-
-    def restrict(self, window: Iterable) -> frozenset:
-        """Intersection with a finite window of places."""
-        window = frozenset(window)
-        if self.kind == "finite":
-            return self.members & window
-        return window - self.members
 
     def sort_key(self):
         return (

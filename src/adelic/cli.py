@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         text, status = _encode(COMMANDS[args.command][2](args), args.pretty), 0
     except AdelicError as exc:
         text, status = _encode({"error": {"code": exc.code, "detail": str(exc)}}, args.pretty), 2
-    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
         text, status = _encode({"error": {"code": "invalid_input", "detail": str(exc)}}, args.pretty), 1
     print(text)
     return status

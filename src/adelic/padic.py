@@ -338,11 +338,6 @@ def _in_ball(p: int, num: int, den: int, centre: Rational, e: int) -> bool:
     return diff == 0 or diff % p ** max(0, e + _split(den * centre.denominator, p)[0]) == 0
 
 
-def ball_contains(ball: PadicBall, x: Rational) -> bool:
-    """Exact ball membership for a rational point."""
-    return ball.contains(x)
-
-
 def integer_in_ball(ball: PadicBall) -> int:
     """The smallest nonnegative integer inside a p-adic ball.
 

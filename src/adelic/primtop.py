@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .adele import EXTENDED_PRIMES, FINITE_PRIMES, PrimeSet, UnitIdele
 from .errors import ImproperPoint, MalformedDescriptor, NegativeForQPlus
@@ -71,9 +71,6 @@ class Character:
                 angles[Prime(p)] = angle
         object.__setattr__(self, "sign_angle", sign)
         object.__setattr__(self, "prime_angles", tuple(sorted(angles.items())))
-
-    def angle_at(self, p) -> Fraction:
-        return dict(self.prime_angles).get(Prime(p), Fraction(0))
 
     def sort_key(self):
         return (
@@ -272,16 +269,6 @@ WHOLE_SPACE = ClosedSetDescriptor(whole_space=True)
 # the closure engine
 
 
-def pc_basic_open(excluded: Iterable) -> Callable[[PrimeSet], bool]:
-    """The membership predicate of the basic open U_G = {T : T meets no G}."""
-    members = PrimeSet.finite(excluded, EXTENDED_PRIMES).members
-
-    def predicate(t: PrimeSet) -> bool:
-        return not any(t.contains(p) for p in members)
-
-    return predicate
-
-
 _DescriptorInput = Union[SetDescriptor, ClosedSetDescriptor, Sequence]
 
 
@@ -394,12 +381,6 @@ def _close(space: _Space, data: _DescriptorInput) -> ClosedSetDescriptor:
         character_points=tuple(characters),
         all_characters=all_chars or bool(up and space.group),
     )
-
-
-def pc_dense(data: _DescriptorInput) -> bool:
-    """Whether a prime-set description meets every basic open U_G."""
-    closed = _close(_PC, data)
-    return closed.whole_space or any(s.is_empty for s in closed.up_sets)
 
 
 def pc_closure(data: _DescriptorInput) -> ClosedSetDescriptor:

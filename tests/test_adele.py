@@ -348,9 +348,15 @@ class TestPrimeSet:
         with pytest.raises(ValueError):
             PrimeSet.finite({INFINITY})
 
-    def test_restrict(self):
-        assert PrimeSet.cofinite({3}).restrict({2, 3, 5}) == {2, 5}
-        assert PrimeSet.finite({2, 7}).restrict({2, 3}) == {2}
+    def test_membership_on_a_window(self):
+        assert [p for p in (2, 3, 5) if PrimeSet.cofinite({3}).contains(p)] == [2, 5]
+        assert [p for p in (2, 3) if PrimeSet.finite({2, 7}).contains(p)] == [2]
+
+    def test_infinity_lies_off_the_finite_primes(self):
+        assert not PrimeSet.cofinite(()).contains(INFINITY)
+        assert not PrimeSet.finite(()).contains(INFINITY)
+        assert not zero_set(FiniteAdele({}, DefaultSpec.zero())).contains(INFINITY)
+        assert PrimeSet.cofinite((), base=EXTENDED_PRIMES).contains(INFINITY)
 
 
 class TestInvertibility:

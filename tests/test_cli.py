@@ -226,6 +226,17 @@ class TestErrorHandling:
         code, doc = invoke(capsys, "abs", "--adele", "{not json")
         assert code == 1 and doc["error"]["code"] == "invalid_input"
 
+    NESTED = "[" * 3000 + "]" * 3000  # deeper than json.loads recurses
+
+    @pytest.mark.parametrize("argv", [
+        ["pc-closure", "--points", NESTED],
+        ["abs", "--adele", NESTED],
+        ["tau-closure", "--descriptor", '{"atoms": %s}' % NESTED],
+    ], ids=["pc-closure", "abs", "tau-closure"])
+    def test_deeply_nested_json_is_invalid_input(self, capsys, argv):
+        code, doc = invoke(capsys, *argv)
+        assert code == 1 and doc["error"]["code"] == "invalid_input"
+
     def test_unknown_keys_rejected(self, capsys):
         bad = json.dumps({"explicit": {}, "default": {"kind": "zero"}, "bogus": 1})
         code, doc = invoke(capsys, "zero-set", "--adele", bad)

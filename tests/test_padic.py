@@ -15,7 +15,6 @@ from adelic.padic import (
     PadicBall,
     Prime,
     TruncatedPadic,
-    ball_contains,
     crt_solve,
     expand,
     extended_prime_key,
@@ -149,9 +148,9 @@ class TestExpand:
 
 class TestBalls:
     def test_trivial_examples(self):
-        assert ball_contains(PadicBall(2, Fraction(0), 3), 16)
-        assert not ball_contains(PadicBall(2, Fraction(0), 3), 4)
-        assert ball_contains(PadicBall(3, Fraction(1), 1), 16)
+        assert PadicBall(2, Fraction(0), 3).contains(16)
+        assert not PadicBall(2, Fraction(0), 3).contains(4)
+        assert PadicBall(3, Fraction(1), 1).contains(16)
 
     @given(rationals, prime_st, st.integers(-4, 6), st.integers(-50, 50))
     def test_translation_invariance(self, x, p, ell, k):

@@ -34,9 +34,7 @@ from adelic.primtop import (
     WHOLE_SPACE,
     character_eval,
     closed_contains_atom,
-    pc_basic_open,
     pc_closure,
-    pc_dense,
     point_specializes,
     prim_equal,
     prim_full_closure,
@@ -64,7 +62,7 @@ class TestCharacter:
     def test_normalization(self):
         c = Character(Q_PLUS, {2: F(5, 4), 3: F(0)})
         assert c.prime_angles == ((Prime(2), F(1, 4)),)
-        assert c.angle_at(3) == 0
+        assert character_eval(c, 3) == 0
 
     def test_sign_angle_rules(self):
         Character(Q_FULL, {}, sign_angle=F(1, 2))
@@ -105,12 +103,13 @@ class TestCharacter:
 
 
 class TestBasicOpens:
+    # U_G is the set of subsets of the complement of G
     def test_examples(self):
-        assert pc_basic_open([])(fin(2, 3))
-        u2 = pc_basic_open([2])
-        assert u2(fin(3, 5))
-        assert not u2(fin(2))
-        assert not u2(PrimeSet.cofinite({3}))  # cofinite sets meet {2}
+        assert fin(2, 3).is_subset_of(PrimeSet.cofinite([]))
+        u2 = PrimeSet.cofinite([2])
+        assert fin(3, 5).is_subset_of(u2)
+        assert not fin(2).is_subset_of(u2)
+        assert not PrimeSet.cofinite({3}).is_subset_of(u2)  # cofinite sets meet {2}
 
     @given(
         st.frozensets(st.sampled_from([2, 3, 5, 7]), max_size=3),
@@ -119,8 +118,8 @@ class TestBasicOpens:
     )
     def test_intersection_law(self, g, h, t_members):
         t = fin(*t_members)
-        lhs = pc_basic_open(g)(t) and pc_basic_open(h)(t)
-        assert lhs == pc_basic_open(g | h)(t)
+        lhs = t.is_subset_of(PrimeSet.cofinite(g)) and t.is_subset_of(PrimeSet.cofinite(h))
+        assert lhs == t.is_subset_of(PrimeSet.cofinite(g | h))
 
 
 class TestPcClosure:
@@ -173,14 +172,15 @@ class TestClosedContainsAtom:
 
 
 class TestPcDense:
+    # every U_G holds the empty set, so a set is dense exactly when the empty set lies in its closure
     def test_examples(self):
-        assert pc_dense([fin()])
-        assert not pc_dense([fin(2), fin(3)])
-        assert pc_dense(SetDescriptor.of(SingletonFamily(frozenset({2}))))
+        assert closed_contains_atom(pc_closure([fin()]), PrimeSetPoint(fin()))
+        assert not closed_contains_atom(pc_closure([fin(2), fin(3)]), PrimeSetPoint(fin()))
+        assert closed_contains_atom(pc_closure(SetDescriptor.of(SingletonFamily(frozenset({2})))), PrimeSetPoint(ext()))
 
     def test_rejects_characters(self):
         with pytest.raises(MalformedDescriptor):
-            pc_dense(SetDescriptor.of(CharacterPoint(Character(Q_PLUS, {}))))
+            pc_closure(SetDescriptor.of(CharacterPoint(Character(Q_PLUS, {}))))
 
 
 class TestTauClosure:
@@ -500,4 +500,4 @@ class TestInputChecks:
         assert repr(Character(Q_FULL, {5: F(2, 3)}, F(1, 2))) == "Character(q_full, {5: 2/3}, sign=1/2)"
 
     def test_angle_at_a_listed_prime(self):
-        assert Character(Q_PLUS, {3: F(1, 4)}).angle_at(3) == F(1, 4)
+        assert character_eval(Character(Q_PLUS, {3: F(1, 4)}), 3) == F(1, 4)  # v_3(3) = 1

@@ -8,11 +8,14 @@ adele, ...) and 1 malformed input; errors carry a payload
 keys, reduced rationals, byte-identical for identical argv.  The
 subcommands are defined in one table, ``COMMANDS``.
 
-A request that names a subcommand is parsed with only that subcommand's
-flags, by a parser built once per process, on the command's first request;
-it prints the command's help and usage errors itself, in the same bytes as
-the parser of all subcommands, ``build_parser()``.  Only an argv that names
-no subcommand or leaves arguments over goes to ``build_parser()``.
+A request goes first to a plain reader, which takes a subcommand followed
+by exact ``--flag value`` and ``--flag=value`` tokens, each flag at most
+once and every required flag given, and builds the namespace argparse
+would build.  Any other argv goes to argparse: first to the subcommand's
+own parser, built once per process, on the command's first request, which
+prints the command's help and usage errors in the same bytes as the parser
+of all subcommands, ``build_parser()``; then, for an argv that names no
+subcommand or leaves arguments over, to ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -49,10 +52,14 @@ from .quasiorbit import (
 )
 
 
+# json.dumps builds an encoder per call when given separators
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _encode(doc: Dict, pretty: bool) -> str:
     if pretty:
         return json.dumps(doc, sort_keys=True, indent=2)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _COMPACT.encode(doc)
 
 
 def _valuation_doc(v) -> Any:
@@ -72,9 +79,16 @@ def _unique_keys(pairs) -> Dict:
     return doc
 
 
+# json.loads builds a decoder per call when given a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load(parse, text: str):
     """Parse a JSON flag value; a key repeated within one object is
     malformed input, not a silent last-one-wins."""
+    if isinstance(text, str) and not text.startswith("\ufeff"):
+        return parse(_DECODER.decode(text))
+    # json.loads refuses a leading BOM and a non-string; JSONDecoder.decode does neither
     return parse(json.loads(text, object_pairs_hook=_unique_keys))
 
 
@@ -207,11 +221,13 @@ COMMANDS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
-    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
+def _add_flags(parser: argparse.ArgumentParser, flags) -> Dict[str, argparse.Action]:
+    """Add ``--pretty`` and ``flags`` to ``parser``; their actions by flag."""
+    actions = [parser.add_argument("--pretty", action="store_true", help="indent the JSON output")]
     for flag in flags:
         name, options = (flag, {"required": True}) if isinstance(flag, str) else flag
-        parser.add_argument(name, **options)
+        actions.append(parser.add_argument(name, **options))
+    return {action.option_strings[0]: action for action in actions}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,17 +243,57 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """``command``'s parser, built on its first request and then kept."""
+    """``command``'s parser, built on its first request and then kept; its
+    ``flags`` maps each flag to its action."""
     parser = argparse.ArgumentParser(prog=f"adele {command}")
-    _add_flags(parser, COMMANDS[command][1])
+    parser.flags = _add_flags(parser, COMMANDS[command][1])
     return parser
 
 
+def _plain_args(argv) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for a command followed by exact
+    ``--flag value`` and ``--flag=value`` tokens, each flag at most once and
+    every required flag given; None for any other argv.  Abbreviations,
+    repeats, help and usage errors are left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = _command_parser(argv[0]).flags
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        action = flags.get(name)
+        if action is None or action.dest in given:
+            return None
+        # argparse refuses a switch a value, and stores [] for a "--" value
+        if joined and (action.nargs == 0 or value == "--"):
+            return None
+        if action.nargs == 0:
+            value = action.const
+        elif not joined:
+            value = next(tokens, "-")
+            if value.startswith("-"):  # missing, or argparse may read it as an option
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        given[action.dest] = value
+    if any(action.required and action.dest not in given for action in flags.values()):
+        return None
+    return argparse.Namespace(command=argv[0], **{a.dest: given.get(a.dest, a.default) for a in flags.values()})
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv`` with only its command's flags when it names one.
-    ``parse_known_args`` is the full parser's own call on that subparser, so
-    help and usage errors print the same bytes; only leftover arguments
-    need the full parser, whose error reports them."""
+    """Read ``argv`` plainly when it allows; else parse it with only its
+    command's flags when it names one.  ``parse_known_args`` is the full
+    parser's own call on that subparser, so help and usage errors print the
+    same bytes; only leftover arguments need the full parser, whose error
+    reports them."""
+    args = _plain_args(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:

@@ -90,10 +90,10 @@ def dump_place(p) -> str:
 def _require_keys(doc: Dict, required, optional=()):
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(required) - set(optional)
+    unknown = [k for k in doc if k not in required and k not in optional]
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
-    missing = set(required) - set(doc)
+    missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"missing keys {sorted(missing)}")
 

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adelic
 from adelic import cli, jsonio
@@ -339,6 +344,11 @@ class TestErrorHandling:
             assert code == 1 and doc["error"]["code"] == "invalid_input"
             assert "4300" in doc["error"]["detail"]
 
+    def test_a_leading_bom_is_refused_as_json_loads_refuses_it(self, capsys):
+        assert run_cli("abs", "--adele", "\ufeff{}", capsys=capsys) == (1, (
+            '{"error":{"code":"invalid_input",'
+            '"detail":"Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"}}\n'))
+
     def test_unknown_flag(self, capsys):
         assert main(["abs", "--bogus", "1"]) == 1
 
@@ -430,6 +440,13 @@ ACCEPTED = [
     ["abs", "--pre", "--adele=" + ADELE_38],
     ["witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--div"],
     ["valuation", "--q", "-1", "--p", "2"],
+    ["char-eval", "--character={\"group\":\"q_plus\"}", "--r=-2/3", "--pretty"],
+    ["expand", "--q", "-1/3", "--p", "2", "--k", "3"],
+    ["valuation", "--q", "1", "--p", "2", "--q", "12"],
+    ["expand", "--q", "1/3", "--p", "2", "--k", "3", "--pre"],
+    # argparse drops a "--" value and stores []
+    ["valuation", "--q=--", "--p", "2"],
+    ["abs", "--adele=--"],
 ]
 
 
@@ -443,8 +460,9 @@ def transcript(capsys, argv):
 
 
 class TestParsePaths:
-    """A request naming a subcommand is parsed with that command's flags
-    alone; what it prints must match parsing with the full parser."""
+    """A request goes to the plain reader first, then to its command's
+    argparse parser, and then to the full parser; what it prints must match
+    parsing with the full parser."""
 
     def test_both_paths_print_the_same(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -469,6 +487,15 @@ class TestParsePaths:
         for argv, stdout in first.values():
             assert transcript(capsys, argv) == (0, stdout, ""), argv
 
+    def test_plain_requests_never_reach_argparse(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached argparse")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        for argv, code, stdout in GOLDEN:
+            if code == 0:
+                assert transcript(capsys, argv) == (0, stdout, ""), argv
+
     def full_parser_builds(self, monkeypatch, capsys, argvs):
         """Yield each argv with the number of full parsers it built."""
         calls = []
@@ -491,6 +518,65 @@ class TestParsePaths:
     def test_no_command_or_leftovers_build_the_full_parser_once(self, capsys, monkeypatch):
         for argv, builds in self.full_parser_builds(monkeypatch, capsys, FALLBACK_USAGE):
             assert builds == 1, argv
+
+
+GOOD_VALUES = ["2", "12", " 7"]  # each fits every flag
+# values that are negative, empty or not ints, and tokens argparse may read
+# as an option or as the "--" marker
+ODD_VALUES = ["-1", "-40/9", "", "two", "--", "-h"]
+STRAY_TOKENS = ["-h", "--help", "--", "extra", "-1", "--bogus", "--bogus=1", "-p"]
+CHANGES = ["leave out", "repeat", "abbreviate", "odd value", "odd form"]
+
+
+@st.composite
+def command_argvs(draw):
+    """A command followed by each of its flags once, switches bare and the
+    others in the exact or the "=" form, with up to two changes: a flag left
+    out, repeated or abbreviated, an odd value or form; and at times a stray
+    token."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = cli._command_parser(command).flags
+    entries = [[name, draw(st.sampled_from(GOOD_VALUES)),
+                "bare" if flags[name].nargs == 0 else draw(st.sampled_from(["exact", "joined"]))]
+               for name in draw(st.permutations(list(flags)))]
+    for change in draw(st.lists(st.sampled_from(CHANGES), max_size=2)):
+        if not entries:
+            break
+        i = draw(st.integers(0, len(entries) - 1))
+        name, value, form = entries[i]
+        if change == "leave out":
+            del entries[i]
+        elif change == "repeat":
+            entries.insert(draw(st.integers(0, len(entries))),
+                           [name, draw(st.sampled_from(GOOD_VALUES + ODD_VALUES)), form])
+        elif change == "abbreviate" and len(name) > 3:
+            entries[i][0] = name[: draw(st.integers(3, len(name) - 1))]
+        elif change == "odd value":
+            entries[i][1] = draw(st.sampled_from(ODD_VALUES))
+        elif change == "odd form":
+            entries[i][2] = draw(st.sampled_from([f for f in ("exact", "joined", "bare") if f != form]))
+    tokens = [token for name, value, form in entries
+              for token in {"exact": [name, value], "joined": [f"{name}={value}"], "bare": [name]}[form]]
+    if draw(st.integers(0, 4)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(STRAY_TOKENS)))
+    return [command, *tokens]
+
+
+class TestPlainReader:
+    """The plain reader either declines an argv or builds the namespace that
+    the command's argparse parser builds from it."""
+
+    @given(argv=command_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_argparse(self, argv):
+        got = cli._plain_args(argv)
+        if got is not None:
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    args, rest = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+                except SystemExit:
+                    raise AssertionError(f"argparse refuses {argv}") from None
+            assert rest == [] and got == argparse.Namespace(command=argv[0], **vars(args))
 
 
 class TestParserCache:

@@ -22,7 +22,6 @@ from .adele import (
     UnitIdele,
     ZERO,
     absolute_value,
-    component,
     embed_rational,
     factor_idele,
     is_invertible,
@@ -35,7 +34,6 @@ from .errors import (
     ClosedOrbitMiss,
     ImproperPoint,
     Infeasible,
-    InfinityOnFiniteAdele,
     MalformedDescriptor,
     NegativeForQPlus,
     NoIntegerSolution,

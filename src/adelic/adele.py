@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import (
-    InfinityOnFiniteAdele,
     NotInvertible,
     ZeroComponent,
 )
@@ -34,7 +33,6 @@ from .padic import (
     _fraction,
     _in_ball,
     _split,
-    expand,
     extended_prime_key,
     is_infinite_place,
     iter_primes,
@@ -287,14 +285,6 @@ class PrimeSet:
     def cofinite(cls, excluded: Iterable = (), base: str = FINITE_PRIMES) -> "PrimeSet":
         return cls(base, "cofinite", frozenset(excluded))
 
-    def contains(self, p) -> bool:
-        if is_infinite_place(p) and self.base != EXTENDED_PRIMES:
-            return False  # the constructor admits INFINITY only over the extended primes
-        p = p if is_infinite_place(p) else Prime(p)
-        if self.kind == "finite":
-            return p in self.members
-        return p not in self.members
-
     @property
     def is_empty(self) -> bool:
         return self.kind == "finite" and not self.members
@@ -449,21 +439,6 @@ def scale(r: Rational, a: Adele) -> Adele:
     if isinstance(a, FullAdele):
         return FullAdele(fin, a.real_part * r)
     return fin
-
-
-def component(a: Adele, p, precision: Optional[int] = None):
-    """Truncated view of the component at an extended prime.
-
-    Finite primes give a TruncatedPadic at the requested precision; the
-    archimedean place of a full adele gives the exact rational real part.
-    """
-    if is_infinite_place(p):
-        if not isinstance(a, FullAdele):
-            raise InfinityOnFiniteAdele("finite adeles have no archimedean component")
-        return a.real_part
-    if precision is None:
-        raise ValueError("precision is required at a finite prime")
-    return expand(a.component(p), Prime(p), precision)
 
 
 def zero_set(a: Adele) -> PrimeSet:

@@ -11,11 +11,8 @@ subcommands are defined in one table, ``COMMANDS``.
 A request goes first to a plain reader, which takes a subcommand followed
 by exact ``--flag value`` and ``--flag=value`` tokens, each flag at most
 once and every required flag given, and builds the namespace argparse
-would build.  Any other argv goes to argparse: first to the subcommand's
-own parser, built once per process, on the command's first request, which
-prints the command's help and usage errors in the same bytes as the parser
-of all subcommands, ``build_parser()``; then, for an argv that names no
-subcommand or leaves arguments over, to ``build_parser()``.
+would build.  Any other argv goes to argparse, to the parser of all
+subcommands, ``build_parser()``, which prints help and usage errors.
 """
 
 from __future__ import annotations
@@ -155,16 +152,23 @@ def _char_eval(a) -> Dict:
     return {"angle": jsonio.dump_rational(character_eval(c, jsonio.parse_rational(a.r)))}
 
 
+def _comma_list(parse, text) -> list:
+    """Parse each item of a comma-separated flag value."""
+    if not isinstance(text, str):  # argparse stores [] for a "--" value
+        raise TypeError(f"a comma-separated list must be str, not {type(text).__name__}")
+    return [parse(item) for item in text.split(",") if item]
+
+
 def _oracle_witness(a) -> Dict:
     adele, nbhd = _adele(a.adele), _load(jsonio.parse_neighbourhood, a.nbhd)
-    window = frozenset(jsonio.parse_prime(p) for p in a.prime_window.split(",") if p)
+    window = frozenset(_comma_list(jsonio.parse_prime, a.prime_window))
     r = witness_by_search(adele, nbhd, SearchBudget(a.height_bound, window, a.precision))
     return _r_doc(r, a.division)
 
 
 def _oracle_window(a) -> Dict:
     points = _load(jsonio.parse_prime_set_list, a.points)
-    window = [jsonio.parse_place(p) for p in a.window.split(",") if p]
+    window = _comma_list(jsonio.parse_place, a.window)
     return {"closure": [jsonio.dump_prime_set(s) for s in window_closure(points, window)]}
 
 
@@ -242,12 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=None)
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """``command``'s parser, built on its first request and then kept; its
-    ``flags`` maps each flag to its action."""
-    parser = argparse.ArgumentParser(prog=f"adele {command}")
-    parser.flags = _add_flags(parser, COMMANDS[command][1])
-    return parser
+def _flags(command: str) -> Dict[str, argparse.Action]:
+    """``command``'s flags and their argparse actions, built on its first
+    request and then kept."""
+    return _add_flags(argparse.ArgumentParser(add_help=False), COMMANDS[command][1])
 
 
 def _plain_args(argv) -> Optional[argparse.Namespace]:
@@ -257,7 +259,7 @@ def _plain_args(argv) -> Optional[argparse.Namespace]:
     repeats, help and usage errors are left to argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    flags = _command_parser(argv[0]).flags
+    flags = _flags(argv[0])
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -286,19 +288,10 @@ def _plain_args(argv) -> Optional[argparse.Namespace]:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Read ``argv`` plainly when it allows; else parse it with only its
-    command's flags when it names one.  ``parse_known_args`` is the full
-    parser's own call on that subparser, so help and usage errors print the
-    same bytes; only leftover arguments need the full parser, whose error
-    reports them."""
+    """Read ``argv`` plainly when it allows; else parse it with the full
+    parser, which prints help and usage errors."""
     args = _plain_args(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return argparse.Namespace(command=argv[0], **vars(args))
-    return build_parser().parse_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -23,12 +23,6 @@ class NoIntegerSolution(AdelicError):
     code = "no_integer_solution"
 
 
-class InfinityOnFiniteAdele(AdelicError):
-    """The archimedean component was requested from a finite adele."""
-
-    code = "infinity_on_finite_adele"
-
-
 class NotInvertible(AdelicError):
     """Idele factorization was applied to a noninvertible adele."""
 

@@ -11,7 +11,6 @@ indexes an older one still reads a complete run of primes.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -131,17 +130,11 @@ def extended_prime_key(p: ExtendedPrime) -> Tuple[int, int]:
 _PRIMES: Tuple[Prime, ...] = (int.__new__(Prime, 2),)
 
 
-def iter_primes(start: int = 2) -> Iterator[Prime]:
-    """Yield the primes >= start in increasing order, forever: from the
-    shared list, grown when a walk runs off its end, or past it by testing."""
+def iter_primes() -> Iterator[Prime]:
+    """Yield the primes in increasing order, forever, from the shared list,
+    grown by sieving when a walk runs off its end."""
     global _PRIMES
-    primes = _PRIMES
-    n = start
-    while n > primes[-1]:  # beyond the list: test each integer, forever
-        if is_prime(n):
-            yield int.__new__(Prime, n)  # proven prime just now: skip Prime's own test
-        n += 1
-    i = bisect.bisect_left(primes, start)
+    primes, i = _PRIMES, 0
     while True:
         if i == len(primes):
             primes = _PRIMES  # perhaps grown by another walk

@@ -349,6 +349,16 @@ class TestErrorHandling:
             '{"error":{"code":"invalid_input",'
             '"detail":"Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"}}\n'))
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle-window", "--points", "[]", "--window=--"],
+        ["oracle-witness", "--adele", CASE_ONE_ADELE, "--nbhd", CASE_ONE_NBHD, "--prime-window=--"],
+    ], ids=["window", "prime-window"])
+    def test_a_dashes_comma_list_is_invalid_input(self, capsys, argv):
+        # argparse stores [] for a "--" value, as it does for --adele=--
+        assert run_cli(*argv, capsys=capsys) == (
+            1, '{"error":{"code":"invalid_input","detail":"a comma-separated list must be str, not list"}}\n'
+        )
+
     def test_unknown_flag(self, capsys):
         assert main(["abs", "--bogus", "1"]) == 1
 
@@ -403,8 +413,8 @@ class TestRoundTrips:
         assert code == 0 and doc == {"abs": "1"}
 
 
-# argvs that argparse answers itself: help and usage errors that the named
-# command's parser prints alone ...
+# argvs that argparse answers itself: help and usage errors of a named
+# command ...
 COMMAND_USAGE = [
     ["abs"],
     ["abs", "-h"],
@@ -460,9 +470,8 @@ def transcript(capsys, argv):
 
 
 class TestParsePaths:
-    """A request goes to the plain reader first, then to its command's
-    argparse parser, and then to the full parser; what it prints must match
-    parsing with the full parser."""
+    """A request goes to the plain reader first, and then to the full
+    parser; what it prints must match parsing with the full parser."""
 
     def test_both_paths_print_the_same(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -496,8 +505,7 @@ class TestParsePaths:
             if code == 0:
                 assert transcript(capsys, argv) == (0, stdout, ""), argv
 
-    def full_parser_builds(self, monkeypatch, capsys, argvs):
-        """Yield each argv with the number of full parsers it built."""
+    def test_no_command_or_leftovers_build_the_full_parser_once(self, capsys, monkeypatch):
         calls = []
         full = cli.build_parser
 
@@ -506,18 +514,10 @@ class TestParsePaths:
             return full()
 
         monkeypatch.setattr(cli, "build_parser", counted)
-        for argv in argvs:
+        for argv in FALLBACK_USAGE:
             calls.clear()
             transcript(capsys, argv)
-            yield argv, len(calls)
-
-    def test_a_command_prints_its_own_help_and_usage_errors(self, capsys, monkeypatch):
-        for argv, builds in self.full_parser_builds(monkeypatch, capsys, COMMAND_USAGE):
-            assert builds == 0, argv
-
-    def test_no_command_or_leftovers_build_the_full_parser_once(self, capsys, monkeypatch):
-        for argv, builds in self.full_parser_builds(monkeypatch, capsys, FALLBACK_USAGE):
-            assert builds == 1, argv
+            assert len(calls) == 1, argv
 
 
 GOOD_VALUES = ["2", "12", " 7"]  # each fits every flag
@@ -535,7 +535,7 @@ def command_argvs(draw):
     out, repeated or abbreviated, an odd value or form; and at times a stray
     token."""
     command = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    flags = cli._command_parser(command).flags
+    flags = cli._flags(command)
     entries = [[name, draw(st.sampled_from(GOOD_VALUES)),
                 "bare" if flags[name].nargs == 0 else draw(st.sampled_from(["exact", "joined"]))]
                for name in draw(st.permutations(list(flags)))]
@@ -564,7 +564,9 @@ def command_argvs(draw):
 
 class TestPlainReader:
     """The plain reader either declines an argv or builds the namespace that
-    the command's argparse parser builds from it."""
+    the full parser builds from it."""
+
+    FULL = build_parser()
 
     @given(argv=command_argvs())
     @settings(max_examples=400, deadline=None)
@@ -573,24 +575,24 @@ class TestPlainReader:
         if got is not None:
             with contextlib.redirect_stderr(io.StringIO()):
                 try:
-                    args, rest = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+                    want = self.FULL.parse_args(argv)
                 except SystemExit:
                     raise AssertionError(f"argparse refuses {argv}") from None
-            assert rest == [] and got == argparse.Namespace(command=argv[0], **vars(args))
+            assert got == want
 
 
 class TestParserCache:
-    """Each command's parser is built on its first request and kept."""
+    """Each command's flag table is built on its first request and kept."""
 
     def test_one_parser_per_command(self, capsys):
-        cli._command_parser.cache_clear()
+        cli._flags.cache_clear()
         try:
             for _ in range(2):
                 for argv, code, stdout in GOLDEN:
                     assert transcript(capsys, argv)[:2] == (code, stdout), argv
-            info = cli._command_parser.cache_info()
+            info = cli._flags.cache_info()
         finally:
-            cli._command_parser.cache_clear()
+            cli._flags.cache_clear()
         commands = {argv[0] for argv, _, _ in GOLDEN}
         assert info.misses == info.currsize == len(commands)  # one build per command
 
@@ -604,7 +606,7 @@ class TestParserCache:
     def test_threads_parse_as_a_serial_run_does(self):
         corpus = [argv for argv, _, stdout in GOLDEN if stdout] * 4  # not the usage error
         serial = [cli._parse_args(argv) for argv in corpus]
-        cli._command_parser.cache_clear()
+        cli._flags.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, inside argparse too
         try:

@@ -252,7 +252,6 @@ class TestFactoring:
     def test_iter_primes(self):
         it = iter_primes()
         assert [next(it) for _ in range(6)] == [2, 3, 5, 7, 11, 13]
-        assert next(iter_primes(14)) == 17
 
 
 def plain_valuation(q, p):
@@ -268,13 +267,9 @@ def plain_valuation(q, p):
     return v
 
 
-def plain_primes(start, count):
-    out, n = [], max(2, start)
-    while len(out) < count:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return out
+# the primes below 2**14: more than the longest walk below reads (1,000)
+# and than the shared list those walks grow
+PLAIN_PRIMES = [n for n in range(2, 2**14) if is_prime(n)]
 
 
 # terms carrying high powers of the small primes, so p shows up in the
@@ -344,35 +339,35 @@ def fresh_prime_list():
 
 
 class TestSharedPrimeList:
-    @given(st.lists(st.tuples(st.integers(-5, 3000), st.integers(1, 60)), min_size=1, max_size=6))
-    def test_walks_match_a_plain_walk_in_any_order(self, walks):
+    @given(st.lists(st.integers(1, 500), min_size=1, max_size=6))
+    def test_walks_match_a_plain_walk_in_any_order(self, lengths):
         saved = padic._PRIMES
         padic._PRIMES = saved[:1]
         try:
-            for start, count in walks:
-                it = iter_primes(start)
-                assert [next(it) for _ in range(count)] == plain_primes(start, count)
+            for count in lengths:
+                it = iter_primes()
+                assert [next(it) for _ in range(count)] == PLAIN_PRIMES[:count]
         finally:
             padic._PRIMES = saved
 
     def test_yields_primes_and_runs_no_test_twice(self, fresh_prime_list, monkeypatch):
-        tested = []
-        monkeypatch.setattr(padic, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        sieved, sieve = [], padic._sieve_past
+        monkeypatch.setattr(padic, "_sieve_past", lambda primes: sieved.append(primes[-1]) or sieve(primes))
         first = [p for p, _ in zip(iter_primes(), range(300))]
-        assert all(type(p) is Prime for p in first) and first == plain_primes(2, 300)
-        assert len(tested) == len(set(tested))
-        tested.clear()
-        again = iter_primes(100)
-        assert [next(again) for _ in range(100)] == plain_primes(100, 100) and tested == []
+        assert all(type(p) is Prime for p in first) and first == PLAIN_PRIMES[:300]
+        assert len(sieved) == len(set(sieved))
+        sieved.clear()
+        again = iter_primes()
+        assert [next(again) for _ in range(200)] == first[:200] and sieved == []
 
     def test_threads_walking_at_once(self, fresh_prime_list):
-        starts = [2, 2, 3, 500, 2, 1000, 7, 2]
-        expected = [plain_primes(s, 400) for s in starts]
+        lengths = [400, 400, 3, 900, 50, 1000, 7, 400]
+        expected = [PLAIN_PRIMES[:n] for n in lengths]
         results = {}
 
         def walk(i):
-            it = iter_primes(starts[i])
-            results[i] = [next(it) for _ in range(400)]
+            it = iter_primes()
+            results[i] = [next(it) for _ in range(lengths[i])]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -380,22 +375,17 @@ class TestSharedPrimeList:
             for _ in range(5):  # each round grows the list from scratch
                 padic._PRIMES = padic._PRIMES[:1]
                 results.clear()
-                threads = [threading.Thread(target=walk, args=(i,)) for i in range(len(starts))]
+                threads = [threading.Thread(target=walk, args=(i,)) for i in range(len(lengths))]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=30)
                 assert not any(t.is_alive() for t in threads)
-                assert [results.get(i) for i in range(len(starts))] == expected
+                assert [results.get(i) for i in range(len(lengths))] == expected
                 shared = padic._PRIMES
-                assert list(shared) == plain_primes(2, len(shared))
+                assert list(shared) == PLAIN_PRIMES[:len(shared)]
         finally:
             sys.setswitchinterval(interval)
-
-    def test_a_start_past_the_list_walks_alone(self, fresh_prime_list):
-        it = iter_primes(2**61)
-        assert next(it) == plain_primes(2**61, 1)[0]
-        assert padic._PRIMES == (2,)
 
 
 class TestFactoringStops:

@@ -133,8 +133,7 @@ class TestChi:
         a = full({2: F(0)}, DefaultSpec.rational(1), F(0))
         point = chi(a)
         assert point.kind == "prime_set"
-        assert point.prime_set.contains(2) and point.prime_set.contains(INFINITY)
-        assert not point.prime_set.contains(3)
+        assert point.prime_set == PrimeSet.finite({2, INFINITY}, adele.EXTENDED_PRIMES)
 
     def test_paper_sequence_real_coordinate(self):
         # the n-th term carries p_n at p_n and 1 elsewhere; its unit
@@ -421,22 +420,15 @@ class TestApproxWitnessFull:
 
     def test_case_two_walks_the_shared_prime_list(self, monkeypatch):
         # the tail primes come from padic's shared list: once it has grown,
-        # a repeated construction neither sieves nor tests a prime in the walk
+        # a repeated construction sieves nothing in the walk
         monkeypatch.setattr(padic, "_PRIMES", padic._PRIMES[:1])
         walked = []
-
-        def counted(n):
-            if sys._getframe(1).f_code.co_name == "iter_primes":
-                walked.append(n)
-            return is_prime(n)
-
         sieve = padic._sieve_past
 
         def sieved(primes):
             walked.append(primes[-1])
             return sieve(primes)
 
-        monkeypatch.setattr(padic, "is_prime", counted)
         monkeypatch.setattr(padic, "_sieve_past", sieved)
         a = full({}, DefaultSpec.times_p(1), F(1))
         nbhd = Neighbourhood({2: PadicBall(2, F(5), 2), 3: PadicBall(3, F(1), 1)}, real_interval=(F(10), F(10) + F(1, 10**40)))
@@ -891,7 +883,7 @@ class TestFactorFreeVerification:
     def test_orbit_equality_never_factors(self, deadline):
         # the candidate 1/P puts the 61-bit prime P into the default's
         # denominator, where building P^-1 * a would have to factor it
-        P = next(padic.iter_primes(2**60))
+        P = next(n for n in itertools.count(2**60) if is_prime(n))
         a = full({}, DefaultSpec.rational(1), P)
         b = full({}, DefaultSpec.rational(1), 1)
         c = full({P: F(1, P)}, DefaultSpec.rational(F(1, P)), 1)

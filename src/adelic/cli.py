@@ -13,6 +13,8 @@ by exact ``--flag value`` and ``--flag=value`` tokens, each flag at most
 once and every required flag given, and builds the namespace argparse
 would build.  Any other argv goes to argparse, to the parser of all
 subcommands, ``build_parser()``, which prints help and usage errors.
+``main`` then reads each flag's value through its reader in ``_READERS``,
+calls the subcommand's handler, and writes the response document.
 """
 
 from __future__ import annotations
@@ -49,24 +51,14 @@ from .quasiorbit import (
 )
 
 
-# json.dumps builds an encoder per call when given separators
+# json.dumps builds an encoder per call when given separators or indent;
+# --pretty picks the second
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _encode(doc: Dict, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(doc, sort_keys=True, indent=2)
-    return _COMPACT.encode(doc)
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def _valuation_doc(v) -> Any:
     return "inf" if v == INFINITE_VALUATION else int(v)
-
-
-# JSON is parsed inside the handlers, never through argparse ``type=``:
-# argparse would report a bad document as a usage error with no JSON on
-# stdout.  Handlers name library functions at call time, so a binding
-# replaced on a module (as the benchmark's tracer does) is the one called.
 
 
 def _unique_keys(pairs) -> Dict:
@@ -89,67 +81,10 @@ def _load(parse, text: str):
     return parse(json.loads(text, object_pairs_hook=_unique_keys))
 
 
-def _adele(text: str):
-    """Parse a JSON adele; the library checks its kind."""
-    return _load(jsonio.parse_adele, text)
-
-
-def _r_doc(r: Optional[Fraction], division: bool) -> Dict:
-    """The scaling r, reported as 1/r for the division action."""
-    if r is None:
-        return {"r": None}
-    return {"r": jsonio.dump_rational(1 / r if division else r)}
-
-
-def _descriptor(a):
-    return _load(jsonio.parse_descriptor, a.descriptor)
-
-
-def _closure_doc(closed) -> Dict:
-    return {"closure": jsonio.dump_closed_descriptor(closed)}
-
-
-def _expand(a) -> Dict:
-    t = expand(jsonio.parse_rational(a.q), a.p, a.k)
-    return {
-        "prime": str(int(t.prime)),
-        "valuation": _valuation_doc(t.valuation),
-        "unit_residue": t.unit_residue,
-        "precision": t.precision,
-    }
-
-
-def _abs(a) -> Dict:
-    return {"abs": jsonio.dump_rational(absolute_value(_adele(a.adele)))}
-
-
-def _factor(a) -> Dict:
-    r, u = factor_idele(_adele(a.adele))
-    return {"r": jsonio.dump_rational(r), "unit": jsonio.dump_adele(u)}
-
-
-def _witness(a) -> Dict:
-    # approx_witness raises unless r verifies
-    r = approx_witness(_adele(a.adele), _load(jsonio.parse_neighbourhood, a.nbhd))
-    return {**_r_doc(r, a.division), "verified": True}
-
-
-def _specializes(a) -> Dict:
-    x, y = _load(jsonio.parse_parameter_point, a.x), _load(jsonio.parse_parameter_point, a.y)
-    return {"specializes": point_specializes(x, y)}
-
-
-def _prim_equal(a) -> Dict:
-    def pair(doc):
-        jsonio._require_keys(doc, ["set", "character"])
-        return jsonio.parse_prime_set(doc["set"]), jsonio.parse_character(doc["character"])
-
-    return {"equal": prim_equal(_load(pair, a.left), _load(pair, a.right))}
-
-
-def _char_eval(a) -> Dict:
-    c = _load(jsonio.parse_character, a.character)
-    return {"angle": jsonio.dump_rational(character_eval(c, jsonio.parse_rational(a.r)))}
+def _pair(doc) -> tuple:
+    """A (prime set, character) pair, as prim-equal reads it."""
+    jsonio._require_keys(doc, ["set", "character"])
+    return jsonio.parse_prime_set(doc["set"]), jsonio.parse_character(doc["character"])
 
 
 def _comma_list(parse, text) -> list:
@@ -159,17 +94,49 @@ def _comma_list(parse, text) -> list:
     return [parse(item) for item in text.split(",") if item]
 
 
-def _oracle_witness(a) -> Dict:
-    adele, nbhd = _adele(a.adele), _load(jsonio.parse_neighbourhood, a.nbhd)
-    window = frozenset(_comma_list(jsonio.parse_prime, a.prime_window))
-    r = witness_by_search(adele, nbhd, SearchBudget(a.height_bound, window, a.precision))
-    return _r_doc(r, a.division)
+# flag dest -> reader of its value.  ``main`` runs the readers, in flag
+# order, before the handler, never through argparse ``type=``: argparse
+# would report a bad document as a usage error with no JSON on stdout.
+# Readers and handlers name library functions at call time, so a binding
+# replaced on a module (as the benchmark's tracer does) is the one called.
+_READERS = {
+    **dict.fromkeys(["q", "r"], lambda text: jsonio.parse_rational(text)),
+    **dict.fromkeys(["adele", "a", "b"], lambda text: _load(jsonio.parse_adele, text)),
+    "nbhd": lambda text: _load(jsonio.parse_neighbourhood, text),
+    **dict.fromkeys(["x", "y"], lambda text: _load(jsonio.parse_parameter_point, text)),
+    **dict.fromkeys(["left", "right"], lambda text: _load(_pair, text)),
+    "descriptor": lambda text: _load(jsonio.parse_descriptor, text),
+    "points": lambda text: _load(jsonio.parse_prime_set_list, text),
+    "character": lambda text: _load(jsonio.parse_character, text),
+    "prime_window": lambda text: _comma_list(jsonio.parse_prime, text),
+    "window": lambda text: _comma_list(jsonio.parse_place, text),
+}
 
 
-def _oracle_window(a) -> Dict:
-    points = _load(jsonio.parse_prime_set_list, a.points)
-    window = _comma_list(jsonio.parse_place, a.window)
-    return {"closure": [jsonio.dump_prime_set(s) for s in window_closure(points, window)]}
+def _r_doc(r: Optional[Fraction], division: bool) -> Dict:
+    """The scaling r, reported as 1/r for the division action."""
+    if r is None:
+        return {"r": None}
+    return {"r": jsonio.dump_rational(1 / r if division else r)}
+
+
+def _closure_doc(closed) -> Dict:
+    return {"closure": jsonio.dump_closed_descriptor(closed)}
+
+
+def _expand(a) -> Dict:
+    t = expand(a.q, a.p, a.k)
+    return {
+        "prime": str(int(t.prime)),
+        "valuation": _valuation_doc(t.valuation),
+        "unit_residue": t.unit_residue,
+        "precision": t.precision,
+    }
+
+
+def _factor(a) -> Dict:
+    r, u = factor_idele(a.adele)
+    return {"r": jsonio.dump_rational(r), "unit": jsonio.dump_adele(u)}
 
 
 _INT = {"required": True, "type": int}
@@ -180,36 +147,42 @@ _DIVISION = ("--division", {"action": "store_true", "help": "report 1/r for the 
 #: bare flag is a required string; any other comes with its argparse options.
 COMMANDS = {
     "valuation": ("p-adic valuation of a rational", ["--q", ("--p", _INT)],
-                  lambda a: {"valuation": _valuation_doc(valuation(jsonio.parse_rational(a.q), a.p))}),
+                  lambda a: {"valuation": _valuation_doc(valuation(a.q, a.p))}),
     "expand": ("truncated p-adic expansion of a rational", ["--q", ("--p", _INT), ("--k", _INT)], _expand),
     "zero-set": ("set of places where an adele vanishes", ["--adele"],
-                 lambda a: {"zero_set": jsonio.dump_prime_set(zero_set(_adele(a.adele)))}),
-    "abs": ("adelic absolute value of a full adele", ["--adele"], _abs),
+                 lambda a: {"zero_set": jsonio.dump_prime_set(zero_set(a.adele))}),
+    "abs": ("adelic absolute value of a full adele", ["--adele"],
+            lambda a: {"abs": jsonio.dump_rational(absolute_value(a.adele))}),
     "factor": ("idele factorization a = r*u of an invertible adele", ["--adele"], _factor),
     "isotropy": ("isotropy of the scaling action at an adele", ["--adele"],
-                 lambda a: {"isotropy": isotropy(_adele(a.adele))}),
+                 lambda a: {"isotropy": isotropy(a.adele)}),
     "orbit-closure": ("does the orbit closure of a contain b", ["--a", "--b"],
-                      lambda a: {"contains": orbit_closure_contains(_adele(a.a), _adele(a.b))}),
+                      lambda a: {"contains": orbit_closure_contains(a.a, a.b)}),
     "quasi-orbit": ("do a and b share their orbit closure", ["--a", "--b"],
-                    lambda a: {"same": same_quasi_orbit(_adele(a.a), _adele(a.b))}),
+                    lambda a: {"same": same_quasi_orbit(a.a, a.b)}),
     "chi": ("quasi-orbit parameter point of a full adele", ["--adele"],
-            lambda a: jsonio.dump_parameter_point(chi(_adele(a.adele)))),
-    "witness": ("construct r with r*a inside a neighbourhood", ["--adele", "--nbhd", _DIVISION], _witness),
+            lambda a: jsonio.dump_parameter_point(chi(a.adele))),
+    "witness": ("construct r with r*a inside a neighbourhood", ["--adele", "--nbhd", _DIVISION],
+                # approx_witness raises unless r verifies
+                lambda a: {**_r_doc(approx_witness(a.adele, a.nbhd), a.division), "verified": True}),
     "exact-witness": ("exact scaling r with r*a == b, if any", ["--a", "--b", _DIVISION],
-                      lambda a: _r_doc(exact_orbit_witness(_adele(a.a), _adele(a.b)), a.division)),
+                      lambda a: _r_doc(exact_orbit_witness(a.a, a.b), a.division)),
     "zero-divisor": ("is an integral finite adele a zero divisor", ["--adele"],
-                     lambda a: {"zero_divisor": is_zero_divisor(_adele(a.adele))}),
+                     lambda a: {"zero_divisor": is_zero_divisor(a.adele)}),
     "pc-closure": ("power-cofinite closure of a list of prime sets", ["--points"],
-                   lambda a: _closure_doc(pc_closure(_load(jsonio.parse_prime_set_list, a.points)))),
+                   lambda a: _closure_doc(pc_closure(a.points))),
     "tau-closure": ("closure in the quotient topology on prime sets and units", ["--descriptor"],
-                    lambda a: _closure_doc(tau_closure(_descriptor(a)))),
-    "specializes": ("is y in the closure of the parameter point x", ["--x", "--y"], _specializes),
+                    lambda a: _closure_doc(tau_closure(a.descriptor))),
+    "specializes": ("is y in the closure of the parameter point x", ["--x", "--y"],
+                    lambda a: {"specializes": point_specializes(a.x, a.y)}),
     "primcq-closure": ("closure in the finite-adele primitive space", ["--descriptor"],
-                       lambda a: _closure_doc(primcq_closure(_descriptor(a)))),
+                       lambda a: _closure_doc(primcq_closure(a.descriptor))),
     "primfull-closure": ("closure in the full-adele primitive space", ["--descriptor"],
-                         lambda a: _closure_doc(prim_full_closure(_descriptor(a)))),
-    "prim-equal": ("identification of (prime set, character) pairs", ["--left", "--right"], _prim_equal),
-    "char-eval": ("evaluate a character at a nonzero rational", ["--character", "--r"], _char_eval),
+                         lambda a: _closure_doc(prim_full_closure(a.descriptor))),
+    "prim-equal": ("identification of (prime set, character) pairs", ["--left", "--right"],
+                   lambda a: {"equal": prim_equal(a.left, a.right)}),
+    "char-eval": ("evaluate a character at a nonzero rational", ["--character", "--r"],
+                  lambda a: {"angle": jsonio.dump_rational(character_eval(a.character, a.r))}),
     "oracle-witness": ("brute-force witness search by height", [
         "--adele",
         "--nbhd",
@@ -217,11 +190,12 @@ COMMANDS = {
         ("--prime-window", {"default": ",".join(str(int(p)) for p in sorted(_BUDGET.prime_window))}),
         ("--precision", {"type": int, "default": _BUDGET.precision}),
         _DIVISION,
-    ], _oracle_witness),
+    ], lambda a: _r_doc(witness_by_search(a.adele, a.nbhd, SearchBudget(a.height_bound, a.prime_window, a.precision)),
+                        a.division)),
     "oracle-window": ("closure within a finite window of places", [
         "--points",
         ("--window", {"required": True, "help": "comma-separated places, e.g. 2,3,inf"}),
-    ], _oracle_window),
+    ], lambda a: {"closure": [jsonio.dump_prime_set(s) for s in window_closure(a.points, a.window)]}),
 }
 
 
@@ -303,13 +277,18 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; the contract reserves 2 for
         # domain errors, so usage problems report as malformed input
         return 1 if exc.code else 0
-    # encoding fails past Python's digit limit on int to str, so it is inside the try
+    encoder = _PRETTY if args.pretty else _COMPACT
+    # read, call, write; encoding fails past Python's digit limit on int to
+    # str, so it is inside the try
     try:
-        text, status = _encode(COMMANDS[args.command][2](args), args.pretty), 0
+        for dest, value in list(vars(args).items()):
+            if dest in _READERS:
+                setattr(args, dest, _READERS[dest](value))
+        text, status = encoder.encode(COMMANDS[args.command][2](args)), 0
     except AdelicError as exc:
-        text, status = _encode({"error": {"code": exc.code, "detail": str(exc)}}, args.pretty), 2
+        text, status = encoder.encode({"error": {"code": exc.code, "detail": str(exc)}}), 2
     except (ValueError, KeyError, TypeError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError
-        text, status = _encode({"error": {"code": "invalid_input", "detail": str(exc)}}, args.pretty), 1
+        text, status = encoder.encode({"error": {"code": "invalid_input", "detail": str(exc)}}), 1
     print(text)
     return status
 

@@ -88,7 +88,10 @@ class Prime(int):
     def __new__(cls, value) -> "Prime":
         if isinstance(value, Prime):
             return value
-        v = int(value)
+        try:
+            v = int(value)
+        except (TypeError, ValueError, OverflowError) as exc:  # INFINITY, None, "x", float("inf"), ...
+            raise ValueError(f"prime must be an integer, got {value!r}") from exc
         if v != value:
             raise ValueError(f"prime must be an integer, got {value!r}")
         if v >= _PRIMALITY_LIMIT:

@@ -229,18 +229,12 @@ class ClosedSetDescriptor:
 
     @property
     def is_empty(self) -> bool:
-        return not (
-            self.whole_space
-            or self.up_sets
-            or self.unit_points
-            or self.character_points
-            or self.all_characters
-        )
+        return self == ClosedSetDescriptor()
 
     def union(self, other: "ClosedSetDescriptor") -> "ClosedSetDescriptor":
-        if self.whole_space or other.whole_space:
-            return ClosedSetDescriptor(whole_space=True)
+        # the whole space clears the other parts
         return ClosedSetDescriptor(
+            whole_space=self.whole_space or other.whole_space,
             up_sets=self.up_sets + other.up_sets,
             unit_points=self.unit_points + other.unit_points,
             character_points=self.character_points + other.character_points,

@@ -632,6 +632,46 @@ class TestParserCache:
         capsys.readouterr()
 
 
+class TestReaders:
+    """``main`` reads each flag through its reader, in flag order, before
+    the handler runs."""
+
+    BAD_ADELE = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+    @pytest.mark.parametrize("flag, plain", [("--adele", True), ("--adel", False)], ids=["plain", "argparse"])
+    def test_the_first_malformed_flag_is_reported(self, capsys, flag, plain):
+        argv = ["witness", flag, "{", "--nbhd", "["]
+        assert (cli._plain_args(argv) is not None) == plain  # the abbreviation is left to argparse
+        assert invoke(capsys, *argv) == (1, {"error": {"code": "invalid_input", "detail": self.BAD_ADELE}})
+        # the second flag alone reports its own error
+        code, doc = invoke(capsys, "witness", flag, CASE_ONE_ADELE, "--nbhd", "[")
+        assert code == 1 and doc["error"]["detail"] == "Expecting value: line 1 column 2 (char 1)"
+
+    def test_readers_call_the_parser_bound_on_jsonio(self, capsys, monkeypatch):
+        # the benchmark's tracer counts jsonio.parse by replacing these bindings
+        calls = []
+        parse = jsonio.parse_adele
+
+        def counted(doc):
+            calls.append(doc)
+            return parse(doc)
+
+        monkeypatch.setattr(jsonio, "parse_adele", counted)
+        code, doc = invoke(capsys, "orbit-closure", "--a", CASE_ONE_ADELE, "--b", CASE_ONE_ADELE)
+        assert code == 0 and doc == {"contains": True}
+        assert calls == [json.loads(CASE_ONE_ADELE)] * 2
+
+    def test_every_string_flag_has_a_reader_and_every_reader_a_flag(self):
+        # a flag argparse leaves a string (a bare flag among them) cannot
+        # reach a handler unread, and no reader is dead
+        strings = {action.dest for command in cli.COMMANDS for action in cli._flags(command).values()
+                   if action.type is None and action.nargs != 0}
+        bare = {cli._flags(command)[flag].dest for command, (_, flags, _) in cli.COMMANDS.items()
+                for flag in flags if isinstance(flag, str)}
+        assert bare <= strings
+        assert strings == set(cli._READERS)
+
+
 TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts"
 
 

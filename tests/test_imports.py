@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private module-level name or method is referenced somewhere in the library,
-and every public function, class or method has a caller outside the tests.
+and every public function, class, constant, type alias or method has a
+caller outside the tests.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` is exempt from the import
@@ -39,21 +40,25 @@ def test_no_unused_imports(path):
     assert sorted(set(_imported(tree)) - used) == []
 
 
+def _definitions(body):
+    """(name, node) for each function, class or assigned name that a list of
+    statements defines."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
 def _private_definitions(tree):
     """(name, node) for each module-level name, and each method defined in a
     class body, with one leading underscore."""
     methods = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
-    for node in tree.body + methods:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
-            targets = [t.id for t in assigned if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+    for name, node in _definitions(tree.body + methods):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, node
 
 
 def _references(node):
@@ -96,12 +101,13 @@ def test_a_helper_with_no_caller_is_reported():
 
 
 def _public_definitions(tree):
-    """(qualified name, node) for each public module-level function or class,
-    and each public method defined in a class body, as ``name`` or
-    ``Class.method``."""
+    """(qualified name, node) for each public module-level function, class,
+    constant or type alias, and each public method defined in a class body,
+    as ``name`` or ``Class.method``."""
+    for name, node in _definitions(tree.body):
+        if not name.startswith("_"):
+            yield name, node
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for method in node.body:
                 if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("_"):
@@ -179,8 +185,9 @@ def _uncalled(trees, reads):
     for stem, tree in trees.items():
         module = f"{PACKAGE}.{stem}"
         for qualified, node in _public_definitions(tree):
+            name = qualified.rpartition(".")[2]
             own = Counter(_reads(node, module))
-            if _read_count(reads, module, qualified, node.name) == _read_count(own, module, qualified, node.name):
+            if _read_count(reads, module, qualified, name) == _read_count(own, module, qualified, name):
                 found.append(f"{stem}.{qualified}")
     return sorted(found)
 
@@ -197,19 +204,20 @@ def _all_reads():
 
 
 def test_every_public_name_has_a_caller():
-    """Each public function, class and class-body method of the library is
-    read outside its own definition in ``src/``, ``bench/`` or ``demos/``,
-    or in ``tests/test_acceptance.py``, where the acceptance criteria state
-    the paper's claims; a unit test alone keeps no name public.
+    """Each public function, class, constant, type alias and class-body
+    method of the library is read outside its own definition in ``src/``,
+    ``bench/`` or ``demos/``, or in ``tests/test_acceptance.py``, where the
+    acceptance criteria state the paper's claims; a unit test alone keeps
+    no name public.
 
-    A module-level function or class goes by binding: a read counts when
-    it is a bare name in its own module, a bare name in a file that
-    imports it from ``adelic``, ``adelic.<module>`` or ``.<module>``,
-    ``X.name`` with ``X`` bound to its module or to the package, or a
-    quoted name in ``bench/``, since the tracer patches bindings by name.
-    A method goes by name: a method that shares its name with another
-    attribute (``contains``, say) counts as read for all of them;
-    ``tests/public_callers.py`` finds those that no run calls."""
+    A module-level name goes by binding: a read counts when it is a bare
+    name in its own module, a bare name in a file that imports it from
+    ``adelic``, ``adelic.<module>`` or ``.<module>``, ``X.name`` with ``X``
+    bound to its module or to the package, or a quoted name in ``bench/``,
+    since the tracer patches bindings by name.  A method goes by name: a
+    method that shares its name with another attribute (``contains``, say)
+    counts as read for all of them; ``tests/public_callers.py`` finds those
+    that no run calls."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
     assert _uncalled(trees, _all_reads()) == []
 
@@ -224,6 +232,7 @@ def test_a_public_name_with_no_caller_is_reported():
         "def through_module():\n    return 0\n\n"
         "def through_package():\n    return 0\n\n"
         "def in_module():\n    return 0\n\nVALUE = in_module()\n\n"
+        "LIMIT = 3\nORPHAN = LIMIT\nTYPED: int = 2\nAlias = Union[int, str]\n\n"
         "class Shape:\n    def area(self):\n        return self.sides()\n\n"
         "    def sides(self):\n        return 0\n\n"
         "    def alone(self):\n        return self.alone\n\n"
@@ -231,16 +240,18 @@ def test_a_public_name_with_no_caller_is_reported():
         "class Unused:\n    pass\n"
     )
     # a method of the same name is read, an unbound name and an attribute
-    # of no library module spell the function's name: none reads it
+    # of no library module spell the function's or constant's name: none
+    # reads it
     caller = (
-        "import adelic\nfrom adelic import m as mod\nfrom adelic.m import used, Shape\n"
+        "import adelic\nfrom adelic import m as mod\nfrom adelic.m import used, Shape, Alias\n"
         "used(Shape().area()) or 'orphan' or Shape().component() or component or orphan.component\n"
-        "mod.through_module() or adelic.through_package()\n"
+        "mod.through_module() or adelic.through_package() or mod.VALUE or Alias or Shape().ORPHAN\n"
     )
     bench = "PATCHED = (m, 'patched')\n"
     module = ast.parse(source)
     reads = Counter([*_reads(module, "adelic.m"), *_reads(ast.parse(caller)), *_reads(ast.parse(bench), quoted=True)])
-    assert _uncalled({"m": module}, reads) == ["m.Shape.alone", "m.Unused", "m.component", "m.orphan"]
+    assert _uncalled({"m": module}, reads) == [
+        "m.ORPHAN", "m.Shape.alone", "m.TYPED", "m.Unused", "m.component", "m.orphan"]
 
 
 def test_readme_lists_the_public_names():

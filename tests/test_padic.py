@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adelic import padic
+from adelic.adele import embed_rational, xi_partial
 from adelic.errors import NoIntegerSolution, NonCoprimeModuli, WorkBoundExceeded
 from adelic.padic import (
     INFINITE_VALUATION,
@@ -51,6 +52,21 @@ class TestPrime:
     def test_rejects_huge(self):
         with pytest.raises(ValueError):
             Prime(2**64 + 13)
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: Prime(INFINITY), "INFINITY"),
+        (lambda: Prime(None), "None"),
+        (lambda: Prime("x"), "'x'"),
+        (lambda: Prime(float("inf")), "inf"),
+        (lambda: embed_rational(1).component(INFINITY), "INFINITY"),
+        (lambda: PadicBall(INFINITY, 1, 1), "INFINITY"),
+        (lambda: valuation(3, INFINITY), "INFINITY"),
+        (lambda: xi_partial(embed_rational(1, "full"), [INFINITY]), "INFINITY"),
+    ], ids=["Prime-INFINITY", "Prime-None", "Prime-str", "Prime-float-inf", "component", "PadicBall", "valuation", "xi_partial"])
+    def test_a_non_integer_is_named(self, call, named):
+        # the message names the value, not only its type
+        with pytest.raises(ValueError, match=f"^prime must be an integer, got {named}$"):
+            call()
 
     def test_is_an_int(self):
         p = Prime(5)

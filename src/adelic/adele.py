@@ -363,28 +363,47 @@ class Neighbourhood:
 
 def _scaled_in(nbhd: Neighbourhood, r: Rational, a: Adele, primes: Iterable = ()) -> bool:
     """Whether r * a lies in nbhd, by the rule of Neighbourhood.contains,
-    decided on numerators and denominators without building r * a.
-    Leaving out a prime of rest can turn a True into a False, never the
-    other way."""
+    decided on integers without building r * a.  Each place's component is
+    read once as a pair by ``_pair_at``.  Off the places a nonzero default
+    absorbs rest when rest divides the numerator of q * P, which is
+    q.n * P // gcd(P, q.d), for P = 1 under RATIONAL and, under TIMES_P,
+    the product of the distinct given primes.  Leaving out a prime of rest
+    can turn a True into a False, never the other way."""
     full = _check_kind(a, nbhd)
     explicit, default, balls = a.explicit, a.default, nbhd.balls
     r_num, r_den = r.numerator, r.denominator
     places = balls.keys() | explicit.keys()
     for p in places:
-        v = explicit.get(p)
-        v = default.value_at(p) if v is None else v
+        num, den = _pair_at(explicit, default, p)
         c, radius = (balls[p].center, balls[p].radius_exponent) if p in balls else (0, 0)  # Z_p = B(0, 0)
-        # r * v unreduced, so all of r's denominator is split only when r * v is not the centre
-        if not _in_ball(p, v.numerator * r_num, v.denominator * r_den, c, radius):
+        # r * a_p unreduced, so all of r's denominator is split only when r * a_p is not the centre
+        if not _in_ball(p, num * r_num, den * r_den, c, radius):
             return False
-    # off the places the default absorbs the rest of r's denominator; value_at gives 0, q or q * prod(primes)
-    if default.value_at(math.prod(set(primes))).numerator % _strip(r_den, places):
-        return False
+    rest = 1 if default.kind == ZERO else _strip(r_den, places)  # a ZERO default absorbs every denominator
+    if rest != 1:
+        q, prod = default.q, math.prod(set(primes)) if default.kind == TIMES_P else 1
+        if q.numerator * prod // math.gcd(prod, q.denominator) % rest:
+            return False
     if full:
         (lo, hi), x = nbhd.real_interval, a.real_part
         x_num, x_den = x.numerator * r_num, x.denominator * r_den
         return lo.numerator * x_den < x_num * lo.denominator and x_num * hi.denominator < hi.numerator * x_den
     return True
+
+
+def _pair_at(explicit: Dict[Prime, Fraction], default: DefaultSpec, p: Prime) -> Tuple[int, int]:
+    """The component at a finite prime p as an integer pair (numerator,
+    denominator) in lowest terms: an explicit entry's own, else the default
+    rule's (0, 1), (q.n, q.d) or, under TIMES_P, (q.n * p, q.d), which is in
+    lowest terms as p does not divide q.d off the explicit primes (the
+    FiniteAdele invariant).  So p divides at most one term of the pair."""
+    v = explicit.get(p)
+    if v is not None:
+        return v.numerator, v.denominator
+    if default.kind == ZERO:
+        return 0, 1
+    q = default.q
+    return (q.numerator if default.kind == RATIONAL else q.numerator * p), q.denominator
 
 
 def _check_kind(a: Adele, nbhd: Neighbourhood) -> bool:

@@ -61,6 +61,8 @@ def is_prime(n: int) -> bool:
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # with no prime factor up to 37 a composite n is at least 41**2
+        return True
     s, d = _split(n - 1, 2)
     for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)
@@ -210,8 +212,13 @@ def _rho_divisor(n: int) -> int:
 
 
 def _split(n: int, p: int) -> Tuple[int, int]:
-    """(v, n // p**v) for v = v_p(n), n nonzero.  A round divides by p, then by
-    p, p**2, p**4, ... while they divide: v costs O(log(v)**2) divisions."""
+    """(v, n // p**v) for v = v_p(n), n nonzero.  At p = 2, v is the count of
+    trailing zero bits, read in one pass.  Otherwise a round divides by p,
+    then by p, p**2, p**4, ... while they divide: v costs O(log(v)**2)
+    divisions."""
+    if p == 2:
+        v = (n & -n).bit_length() - 1  # n & -n is 2**v, of either sign of n
+        return v, n >> v
     v, k = 0, 2
     while k > 1 and n % p == 0:  # a round that divided only by p leaves no p
         n, d, k = n // p, p, 1
@@ -235,9 +242,15 @@ def valuation(q: Rational, p) -> Valuation:
     """
     p = p if isinstance(p, Prime) else Prime(p)
     q = _rational(q)
-    if q.numerator % p:  # in lowest terms p divides the numerator or the denominator, not both
-        return -_split(q.denominator, p)[0]
-    return _split(q.numerator, p)[0] if q.numerator else INFINITE_VALUATION
+    return _pair_valuation(q.numerator, q.denominator, p)
+
+
+def _pair_valuation(num: int, den: int, p: int) -> Valuation:
+    """v_p(num / den) for a nonzero den, where p divides at most one of the
+    two, as in lowest terms: num % p picks the side that is split."""
+    if num % p:
+        return -_split(den, p)[0]
+    return _split(num, p)[0] if num else INFINITE_VALUATION
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from .adele import (
     is_invertible,
     zero_set,
 )
-from .adele import _check_kind, _default_primes, _idele_rational, _scaled_in
+from .adele import _check_kind, _default_primes, _idele_rational, _pair_at, _scaled_in
 from .errors import ClosedOrbitMiss, Infeasible, NotIntegral
-from .padic import _congruence, _split, crt_solve, valuation
+from .padic import _congruence, _pair_valuation, _split, crt_solve
 
 # isotropy tags
 TRIVIAL = "trivial"
@@ -192,16 +192,20 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     term in the real interval is the smallest such t and gives r = t / r0,
     or there is none and the orbit misses the neighbourhood.
 
-    The plan is carried on integers: components, centres, gamma, u and the
-    real bounds are unreduced pairs, and the one Fraction built is r.
+    The plan is carried on integers.  Each place's component is read once,
+    as the pair adele._pair_at gives, and its valuation and the centre's
+    are split off those pairs (padic._pair_valuation), so no Fraction
+    product is built and valuation() is never called; gamma, u and the real
+    bounds are unreduced pairs, and the one Fraction built is r.
 
     All free choices are pinned so the returned witness is canonical and
     reproducible.  The result is checked exactly before it is returned,
     by the rule of Neighbourhood.contains applied to r * a in place
     (adele._scaled_in): r * a is never built and nothing is factored.
     The ball primes, the explicit primes and the real interval are tested
-    directly; elsewhere the default must absorb r's denominator, which
-    for a TIMES_P default takes the tail primes Case II drew.
+    directly, on the same component pairs; elsewhere the default must
+    absorb r's denominator, an integer divisibility that for a TIMES_P
+    default takes the tail primes Case II drew.
 
     Raises Infeasible on a zero-pattern conflict and ClosedOrbitMiss when
     an invertible full adele's closed orbit misses the neighbourhood.
@@ -227,21 +231,21 @@ def approx_witness(a: Adele, nbhd: Neighbourhood) -> Fraction:
     cong_data = []  # (p, exponent, centre gamma of the r-ball as an unreduced pair)
     denominator_core = 1
     for p in sorted(nbhd.balls.keys() | explicit.keys()):
-        a_p = explicit[p] if p in explicit else default.value_at(p)
-        if a_p == 0:
+        a_num, a_den = _pair_at(explicit, default, p)
+        if a_num == 0:
             continue  # a feasible ball, satisfied by every r
         ball = nbhd.balls.get(p)
         centre, radius = (ball.center, ball.radius_exponent) if ball else (0, 0)  # Z_p = B(0, 0)
-        alpha = 0 if closed else valuation(a_p, p)  # u_p = a_p / r0 is a p-adic unit
+        c_num, c_den = centre.numerator, centre.denominator
+        alpha = 0 if closed else _pair_valuation(a_num, a_den, p)  # u_p = a_p / r0 is a p-adic unit
         m = radius - alpha
-        beta = valuation(centre, p) - alpha  # v_p(gamma) for gamma = centre / u_p
+        beta = _pair_valuation(c_num, c_den, p) - alpha  # v_p(gamma) for gamma = centre / u_p
         # a closed orbit takes every denominator the ball allows, a dense one those it forces
         d_p = max(0, -min(beta, m)) if closed or beta < m else 0
         denominator_core *= int(p) ** d_p
         e_p = m + d_p
         if e_p >= 1:
-            cong_data.append((p, e_p, centre.numerator * a_p.denominator * r0.numerator,
-                              centre.denominator * a_p.numerator * r0.denominator))
+            cong_data.append((p, e_p, c_num * a_den * r0.numerator, c_den * a_num * r0.denominator))
 
     # one CRT per witness: over denominator_core * t the solution is base * t mod modulus
     congruences = []

@@ -77,7 +77,8 @@ class TestPrime:
         def slow(n):
             return n >= 2 and all(n % d for d in range(2, n))
 
-        for n in range(0, 500):
+        # past 41**2 = 1681 and 41 * 43 = 1763, the first composites without a factor up to 37
+        for n in range(0, 2000):
             assert is_prime(n) == slow(n)
 
 
@@ -110,6 +111,19 @@ class TestValuation:
     @given(rationals, rationals, prime_st)
     def test_multiplicative(self, q, r, p):
         assert valuation(q * r, p) == valuation(q, p) + valuation(r, p)
+
+
+class TestSplit:
+    def test_a_large_power_of_two_is_read_at_once(self, deadline):
+        with deadline(0.5):
+            assert padic._split(3 * 2**475000, 2) == (475000, 3)
+
+    @given(st.builds(lambda k, j: k * 2**j, st.integers().filter(bool), st.integers(0, 300)))
+    def test_two_matches_the_division_loop(self, n):
+        v, m = 0, n
+        while m % 2 == 0:
+            v, m = v + 1, m // 2
+        assert padic._split(n, 2) == (v, m)
 
 
 class TestExpand:

@@ -354,7 +354,8 @@ class TestApproxWitnessFinite:
 
     def test_infeasible_reports_the_smallest_failing_ball_before_any_rewrite(self, monkeypatch):
         rewrites = []
-        monkeypatch.setattr(quasiorbit, "valuation", lambda q, p: rewrites.append(p) or valuation(q, p))
+        monkeypatch.setattr(quasiorbit, "_pair_valuation",
+                            lambda num, den, p: rewrites.append(p) or padic._pair_valuation(num, den, p))
         a = finite({2: F(1, 2), 3: F(7), 5: F(0), 11: F(3, 11), 13: F(0)}, DefaultSpec.rational(1))
         balls = {p: PadicBall(p, F(1), 1) for p in (2, 3, 13, 5)}
         with pytest.raises(Infeasible, match=r"^component at p=5 vanishes but the ball excludes 0$"):
@@ -363,6 +364,9 @@ class TestApproxWitnessFinite:
         with pytest.raises(Infeasible, match="p=5"):
             approx_witness(FullAdele(a, 0), Neighbourhood(balls, real_interval=(F(1), F(2))))
         assert rewrites == []
+        # the spy sees the rewrite of a feasible ball
+        approx_witness(a, Neighbourhood({3: PadicBall(3, F(1), 1)}))
+        assert 3 in rewrites
 
     def test_a_zero_default_vanishes_at_a_ball_off_the_explicit_primes(self):
         a = finite({2: F(1)}, DefaultSpec.zero())
@@ -723,6 +727,33 @@ class TestWitnessDependsOnTheAdele:
         nbhd = Neighbourhood(balls, real_interval=(lo, lo + width))
         assert a == b
         assert witness_or_error(b, nbhd) == witness_or_error(a, nbhd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_default_prime_of_the_numerator_matches_its_restated_entry(self, data):
+        # at 5, which divides q's numerator but is not explicit, the TIMES_P
+        # component q * 5 has valuation at least 2
+        q = data.draw(st.sampled_from([F(5), F(-5), F(10), F(25), F(5, 3), F(-25, 2)]))
+        default = DefaultSpec.times_p(q)
+        explicit = {p: data.draw(small_nonzero) for p in (2, 3) if q.denominator % p == 0}
+        real = data.draw(small_nonzero)
+        a = full(explicit, default, real)
+        b = full({**explicit, 5: default.value_at(5)}, default, real)
+        centre = data.draw(
+            st.sampled_from([F(0), F(1), F(5), F(25), F(125), F(1, 5), F(-50, 3)])
+            | st.fractions(min_value=-200, max_value=200, max_denominator=30)
+        )
+        balls = {5: PadicBall(5, centre, data.draw(st.integers(-1, 5)))}
+        if data.draw(st.booleans()):
+            balls[7] = PadicBall(7, data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=8)), 2)
+        lo = data.draw(st.fractions(min_value=-40, max_value=40, max_denominator=6))
+        width = data.draw(st.sampled_from([F(1, 7), F(1, 100), F(1, 3000)]))
+        nbhd = Neighbourhood(balls, real_interval=(lo, lo + width))
+        assert a == b
+        r = witness_or_error(a, nbhd)
+        assert witness_or_error(b, nbhd) == r
+        if isinstance(r, Fraction):
+            assert nbhd.contains(scale(r, a))
 
 
 class TestWitnessAgainstBruteForce:

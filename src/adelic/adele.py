@@ -364,11 +364,11 @@ class Neighbourhood:
 def _scaled_in(nbhd: Neighbourhood, r: Rational, a: Adele, primes: Iterable = ()) -> bool:
     """Whether r * a lies in nbhd, by the rule of Neighbourhood.contains,
     decided on integers without building r * a.  Each place's component is
-    read once as a pair by ``_pair_at``.  Off the places a nonzero default
-    absorbs rest when rest divides the numerator of q * P, which is
-    q.n * P // gcd(P, q.d), for P = 1 under RATIONAL and, under TIMES_P,
-    the product of the distinct given primes.  Leaving out a prime of rest
-    can turn a True into a False, never the other way."""
+    read once as a pair by ``_pair_at``.  Off the places the default
+    absorbs rest, the part of r's denominator prime to them, when rest
+    divides the numerator of its value at the product of the distinct
+    given primes.  Leaving out a prime of rest can turn a True into a
+    False, never the other way."""
     full = _check_kind(a, nbhd)
     explicit, default, balls = a.explicit, a.default, nbhd.balls
     r_num, r_den = r.numerator, r.denominator
@@ -379,11 +379,10 @@ def _scaled_in(nbhd: Neighbourhood, r: Rational, a: Adele, primes: Iterable = ()
         # r * a_p unreduced, so all of r's denominator is split only when r * a_p is not the centre
         if not _in_ball(p, num * r_num, den * r_den, c, radius):
             return False
-    rest = 1 if default.kind == ZERO else _strip(r_den, places)  # a ZERO default absorbs every denominator
-    if rest != 1:
-        q, prod = default.q, math.prod(set(primes)) if default.kind == TIMES_P else 1
-        if q.numerator * prod // math.gcd(prod, q.denominator) % rest:
-            return False
+    # off the places the default absorbs the rest of r's denominator; value_at gives 0, q or q * prod(primes)
+    rest = _strip(r_den, places)
+    if rest != 1 and default.value_at(math.prod(set(primes))).numerator % rest:
+        return False
     if full:
         (lo, hi), x = nbhd.real_interval, a.real_part
         x_num, x_den = x.numerator * r_num, x.denominator * r_den

@@ -61,8 +61,6 @@ def is_prime(n: int) -> bool:
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:  # with no prime factor up to 37 a composite n is at least 41**2
-        return True
     s, d = _split(n - 1, 2)
     for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)

@@ -728,33 +728,6 @@ class TestWitnessDependsOnTheAdele:
         assert a == b
         assert witness_or_error(b, nbhd) == witness_or_error(a, nbhd)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_a_default_prime_of_the_numerator_matches_its_restated_entry(self, data):
-        # at 5, which divides q's numerator but is not explicit, the TIMES_P
-        # component q * 5 has valuation at least 2
-        q = data.draw(st.sampled_from([F(5), F(-5), F(10), F(25), F(5, 3), F(-25, 2)]))
-        default = DefaultSpec.times_p(q)
-        explicit = {p: data.draw(small_nonzero) for p in (2, 3) if q.denominator % p == 0}
-        real = data.draw(small_nonzero)
-        a = full(explicit, default, real)
-        b = full({**explicit, 5: default.value_at(5)}, default, real)
-        centre = data.draw(
-            st.sampled_from([F(0), F(1), F(5), F(25), F(125), F(1, 5), F(-50, 3)])
-            | st.fractions(min_value=-200, max_value=200, max_denominator=30)
-        )
-        balls = {5: PadicBall(5, centre, data.draw(st.integers(-1, 5)))}
-        if data.draw(st.booleans()):
-            balls[7] = PadicBall(7, data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=8)), 2)
-        lo = data.draw(st.fractions(min_value=-40, max_value=40, max_denominator=6))
-        width = data.draw(st.sampled_from([F(1, 7), F(1, 100), F(1, 3000)]))
-        nbhd = Neighbourhood(balls, real_interval=(lo, lo + width))
-        assert a == b
-        r = witness_or_error(a, nbhd)
-        assert witness_or_error(b, nbhd) == r
-        if isinstance(r, Fraction):
-            assert nbhd.contains(scale(r, a))
-
 
 class TestWitnessAgainstBruteForce:
     """Small frozen instances cross-checked by an inline exhaustive scan."""
@@ -1040,7 +1013,12 @@ def neighbourhoods(draw, full):
         for p, (center, e) in draw(
             st.dictionaries(
                 st.sampled_from([2, 3, 5, 7, 11]),
-                st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=8), st.integers(-1, 3)),
+                st.tuples(
+                    # powers of 5 reach v_5 >= 2 of a TIMES_P default whose numerator 5 divides
+                    st.fractions(min_value=-20, max_value=20, max_denominator=8)
+                    | st.sampled_from([F(25), F(125), F(1, 5)]),
+                    st.integers(-1, 5),
+                ),
                 max_size=2,
             )
         ).items()
